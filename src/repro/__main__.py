@@ -114,7 +114,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.experiments.runner import ScenarioConfig, run_scenario
+    from repro.experiments.runner import (
+        ScenarioConfig,
+        run_scenario,
+        summary_lines,
+    )
 
     config = ScenarioConfig(
         cluster_count=args.clusters,
@@ -145,11 +149,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     finally:
         if tracer is not None:
             tracer.close()
-    for key, value in result.summary().items():
-        print(f"  {key:26s} {value:.6g}")
-    energy = getattr(result, "energy", None)
-    if energy is None:
-        energy = getattr(getattr(result, "deployment", None), "energy", None)
+    for line in summary_lines(result.summary()):
+        print(line)
+    energy = result.energy
     if energy is not None:
         for key, value in energy.totals().items():
             print(f"  energy.{key:19s} {value:.6g}")

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from repro.fds.events import (
 from repro.fds.intercluster import InterclusterForwarder
 from repro.fds.messages import FailureReport, HealthStatusUpdate
 from repro.sim.engine import Simulator
+from repro.sim.loss import sweep_loss_params
 from repro.sim.medium import RadioMedium
 from repro.sim.node import SimNode
 from repro.sim.trace import RecordingTracer, iter_jsonl
@@ -89,23 +90,6 @@ class ScenarioSpec:
     def fds_config(self, use_digests: bool = True) -> FdsConfig:
         return FdsConfig(phi=self.phi, thop=self.thop, use_digests=use_digests)
 
-    def loss_params(self) -> Tuple[Tuple[str, float], ...]:
-        if self.loss_kind == "bounded":
-            return (("p", self.loss_p), ("budget", float(self.loss_budget)))
-        if self.loss_kind == "bernoulli":
-            return (("p", self.loss_p),)
-        if self.loss_kind == "gilbert":
-            # Bursty-channel sweep: ``loss_p`` scales the Good -> Bad
-            # entry rate, so the stationary loss rises monotonically
-            # with it while bursts stay genuinely bursty (p_bad = 0.8).
-            return (
-                ("p_good", 0.02),
-                ("p_bad", 0.8),
-                ("p_gb", self.loss_p / 5.0),
-                ("p_bg", 0.3),
-            )
-        return ()
-
     def to_config(
         self,
         vectorized: bool = True,
@@ -119,7 +103,9 @@ class ScenarioSpec:
             executions=self.executions,
             seed=self.seed,
             loss_kind=self.loss_kind,
-            loss_params=self.loss_params(),
+            loss_params=sweep_loss_params(
+                self.loss_kind, self.loss_p, self.loss_budget
+            ),
             spacing_factor=self.spacing_factor,
             max_backups=self.max_backups,
             vectorized=vectorized,
@@ -221,11 +207,12 @@ def accuracy_violations(
     last ``recovery window`` before the horizon may legitimately still be
     awaiting its repair, so it is excused; when the run had no actual
     drops there is no excuse and the final-state report must be clean.
+    Works on every engine: the window uses the protocol config the run
+    actually used (wall-scaled on the runtime).
     """
-    config = spec.fds_config()
-    horizon = result.network.sim.now
+    config = result.fds
+    horizon = result.horizon
     window = (config.max_forward_retries + 1) * config.phi
-    operational = set(result.network.operational_ids())
     refuted_at: dict = {}
     for record in result.tracer.iter_kind(REFUTATION):
         target = int(record.detail["target"])
@@ -233,7 +220,7 @@ def accuracy_violations(
     violations: List[Violation] = []
     for record in result.tracer.iter_kind(DETECTION):
         target = int(record.detail["target"])
-        if target not in operational:
+        if target in result.crash_times:
             continue
         if any(t >= record.time for t in refuted_at.get(target, [])):
             continue
@@ -261,6 +248,14 @@ def accuracy_violations(
             for a, b in result.properties.accuracy_violations
         )
     return violations
+
+
+def predetected(latencies: Dict) -> Set[int]:
+    """Targets first detected *before* their crash (negative latency):
+    falsely suspected while alive, so exempt from latency anchors."""
+    return {
+        int(t) for t, v in latencies.items() if v is not None and v < 0
+    }
 
 
 def audit_violations(
@@ -365,20 +360,14 @@ def array_engine_violations(
                 )
             )
 
-    predetected = set()
-    for result in (event, array):
-        for record in result.tracer.iter_kind(DETECTION):
-            target = int(record.detail["target"])
-            crash_time = result.crash_times.get(target)
-            if crash_time is not None and record.time < crash_time:
-                predetected.add(target)
+    event_latencies = event.detection_latencies
+    array_latencies = array.detection_latencies
+    exempt = predetected(event_latencies) | predetected(array_latencies)
     event_latencies = {
-        t: v for t, v in event.detection_latencies.items()
-        if t not in predetected
+        t: v for t, v in event_latencies.items() if t not in exempt
     }
     array_latencies = {
-        t: v for t, v in array.detection_latencies.items()
-        if t not in predetected
+        t: v for t, v in array_latencies.items() if t not in exempt
     }
     if event_latencies != array_latencies:
         violations.append(

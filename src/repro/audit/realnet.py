@@ -40,11 +40,13 @@ import numpy as np
 from repro.audit.differential import (
     ScenarioSpec,
     Violation,
+    accuracy_violations,
     completeness_guaranteed,
+    predetected,
 )
 from repro.experiments.runner import ScenarioResult, run_scenario
-from repro.fds.events import DETECTION, REFUTATION
-from repro.rt.runtime import RtResult, RtScenario, run_rt_scenario
+from repro.failure.faultload import crash_executions
+from repro.rt.runtime import RtScenario, run_rt_scenario
 
 #: Default wall-clock tolerance band for phi-unit latency comparison.
 DEFAULT_TOLERANCE_PHI = 0.15
@@ -79,89 +81,17 @@ def realnet_spec(seed: int) -> ScenarioSpec:
 # ----------------------------------------------------------------------
 # Per-run reductions
 # ----------------------------------------------------------------------
-def _crash_executions(
-    crash_times: Dict, fds_start: float, phi: float
-) -> Dict[int, int]:
-    """Recover each crash's execution index from its timestamp (the
-    inverse of ``fds_start + (e - 1) * phi + 0.6 * phi``)."""
-    return {
-        int(nid): int(round((t - fds_start - 0.6 * phi) / phi)) + 1
-        for nid, t in crash_times.items()
-    }
-
-
 def _latencies_phi(
-    result, phi: float
+    result: ScenarioResult,
 ) -> Tuple[Dict[int, Optional[float]], set]:
     """Per-crashed-target detection latency in phi units, plus the set
     of targets falsely detected before their crash (anchor-exempt)."""
-    predetected = set()
-    for record in result.tracer.iter_kind(DETECTION):
-        target = int(record.detail["target"])
-        crash_time = result.crash_times.get(target)
-        if crash_time is not None and record.time < crash_time:
-            predetected.add(target)
+    phi = result.fds.phi
     latencies = {
         int(nid): (None if seconds is None else seconds / phi)
         for nid, seconds in result.detection_latencies.items()
     }
-    return latencies, predetected
-
-
-def _rt_accuracy_violations(
-    spec: ScenarioSpec, result: RtResult
-) -> List[Violation]:
-    """The simulator's accuracy oracle, applied to a runtime run.
-
-    Same discipline as :func:`repro.audit.differential.accuracy_violations`,
-    in the runtime's wall timebase: the recovery-window excuse uses the
-    wall-scaled phi, the horizon is the last traced instant, and the
-    "no drops at all" strengthening counts the runtime's own loss draws.
-    """
-    config = result.config
-    records = getattr(result.tracer, "records", [])
-    horizon = max((r.time for r in records), default=0.0)
-    window = (config.max_forward_retries + 1) * config.phi
-    operational = {
-        int(nid) for nid, n in result.nodes.items() if n.is_operational
-    }
-    refuted_at: Dict[int, List[float]] = {}
-    for record in result.tracer.iter_kind(REFUTATION):
-        refuted_at.setdefault(int(record.detail["target"]), []).append(
-            record.time
-        )
-    violations: List[Violation] = []
-    for record in result.tracer.iter_kind(DETECTION):
-        target = int(record.detail["target"])
-        if target not in operational:
-            continue
-        if any(t >= record.time for t in refuted_at.get(target, [])):
-            continue
-        if record.time > horizon - window:
-            continue
-        violations.append(
-            Violation(
-                kind="accuracy",
-                description=(
-                    f"[realnet] node {record.node} detected operational "
-                    f"node {target} at t={record.time:.3f} with no "
-                    f"refutation in the remaining {horizon - record.time:.1f}s"
-                ),
-            )
-        )
-    losses = result.tracer.count("radio.loss")
-    if losses == 0:
-        violations.extend(
-            Violation(
-                kind="accuracy",
-                description=(
-                    f"[realnet] node {int(a)} still suspects operational "
-                    f"node {int(b)} at the end of a loss-free run"
-                ),
-            )
-            for a, b in result.properties.accuracy_violations
-        )
-    return violations
+    return latencies, predetected(latencies)
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +102,7 @@ def check_realnet(
     time_scale: float = 0.05,
     tolerance_phi: float = DEFAULT_TOLERANCE_PHI,
     sim: Optional[ScenarioResult] = None,
-    rt: Optional[RtResult] = None,
+    rt: Optional[ScenarioResult] = None,
 ) -> List[Violation]:
     """Run ``spec`` under sim and runtime; return every divergence.
 
@@ -191,16 +121,13 @@ def check_realnet(
         )
 
     # Field shape (stream identity makes exact equality the contract).
-    if len(rt.nodes) != len(sim.network.nodes):
-        diverged(
-            f"node counts diverged: rt {len(rt.nodes)} != "
-            f"sim {len(sim.network.nodes)}"
-        )
-    if len(rt.layout.clusters) != len(sim.layout.clusters):
-        diverged(
-            f"cluster counts diverged: rt {len(rt.layout.clusters)} != "
-            f"sim {len(sim.layout.clusters)}"
-        )
+    sim_summary, rt_summary = sim.summary(), rt.summary()
+    for key, noun in (("nodes", "node"), ("clusters", "cluster")):
+        if rt_summary[key] != sim_summary[key]:
+            diverged(
+                f"{noun} counts diverged: rt {int(rt_summary[key])} != "
+                f"sim {int(sim_summary[key])}"
+            )
     sim_crashed = tuple(sorted(int(n) for n in sim.crash_times))
     rt_crashed = tuple(sorted(int(n) for n in rt.crash_times))
     if sim_crashed != rt_crashed:
@@ -209,10 +136,10 @@ def check_realnet(
             f"broken): rt {rt_crashed} != sim {sim_crashed}"
         )
     else:
-        sim_execs = _crash_executions(sim.crash_times, 0.0, spec.phi)
-        rt_execs = _crash_executions(
-            rt.crash_times, rt.fds_start, rt.config.phi
-        )
+        # The faultloads' *scheduled* executions: executed runtime crash
+        # times carry timer jitter, the schedule does not.
+        sim_execs = crash_executions(sim.faultload, sim.fds_start, sim.fds.phi)
+        rt_execs = crash_executions(rt.faultload, rt.fds_start, rt.fds.phi)
         if sim_execs != rt_execs:
             diverged(
                 f"crash execution indices diverged: rt {rt_execs} != "
@@ -235,12 +162,15 @@ def check_realnet(
 
     # Accuracy oracle on the runtime run (the sim side is covered by
     # differential.accuracy_violations in check_spec / the soak).
-    violations.extend(_rt_accuracy_violations(spec, rt))
+    violations.extend(
+        Violation(kind=v.kind, description=f"[realnet] {v.description}")
+        for v in accuracy_violations(spec, rt)
+    )
 
     # Loss-independent latency anchors, in phi units with a wall band.
     if sim_crashed == rt_crashed:
-        sim_lat, sim_pre = _latencies_phi(sim, spec.phi)
-        rt_lat, rt_pre = _latencies_phi(rt, rt.config.phi)
+        sim_lat, sim_pre = _latencies_phi(sim)
+        rt_lat, rt_pre = _latencies_phi(rt)
         exempt = sim_pre | rt_pre
         for target in sorted(set(sim_lat) - exempt):
             s, r = sim_lat[target], rt_lat.get(target)

@@ -201,6 +201,10 @@ class ClusterLayout:
 
     # ------------------------------------------------------------------
     @property
+    def cluster_count(self) -> int:
+        return len(self.clusters)
+
+    @property
     def heads(self) -> Tuple[NodeId, ...]:
         """All clusterhead NIDs, sorted."""
         return tuple(sorted(self.clusters))

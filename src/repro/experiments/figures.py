@@ -73,10 +73,6 @@ class Claim:
     check: Callable[[], bool]
 
 
-def _fig5() -> MeasureSeries:
-    return figure5_false_detection()
-
-
 def _claim_fig5_small_at_high_density() -> bool:
     # "if the cluster is densely or moderately densely populated (N = 100
     # or N = 75), the values ... are very small, even when p equals 0.5."

@@ -9,13 +9,11 @@ the examples, the ablations, and the scenario benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.formation import FormationConfig, run_formation
 from repro.cluster.geometric import build_clusters
-from repro.cluster.state import ClusterLayout
 from repro.energy.model import EnergyConfig, EnergyModel
 from repro.errors import ExperimentError
 from repro.failure.faultload import Faultload, make_random_crashes
@@ -23,15 +21,17 @@ from repro.failure.injection import FailureInjector
 from repro.fds.config import FdsConfig
 from repro.fds.service import FdsDeployment, install_fds
 from repro.metrics.collectors import MessageCounts, collect_message_counts
-from repro.metrics.properties import (
-    PropertyReport,
+from repro.metrics.properties import PropertyReport, evaluate_properties
+from repro.obs.analyze import (
+    DETECTION_KIND,
+    META_KIND,
+    PROFILE_KIND,
     detection_latency,
-    evaluate_properties,
+    first_detections,
 )
-from repro.obs.analyze import META_KIND, PROFILE_KIND
 from repro.obs.profiler import PhaseProfiler
 from repro.sim.loss import LOSS_KINDS, build_loss_model
-from repro.sim.network import Network, NetworkConfig, build_network
+from repro.sim.network import NetworkConfig, build_network
 from repro.sim.trace import RecordingTracer, Tracer
 from repro.topology.generators import multi_cluster_field
 from repro.topology.graph import UnitDiskGraph
@@ -115,34 +115,79 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    """Everything a scenario run produced."""
+    """Everything one scenario run produced, whichever engine ran it.
 
-    config: ScenarioConfig
-    network: Network
-    layout: ClusterLayout
-    deployment: FdsDeployment
+    The event, array and runtime engines all return this type, so a run
+    is scored, summarized and audited the same way on each.
+    """
+
+    #: The config asked for: a :class:`ScenarioConfig`, or the runtime's
+    #: :class:`~repro.rt.runtime.RtScenario`.
+    config: object
+    #: The protocol config actually run (wall-scaled on the runtime).
+    fds: FdsConfig
+    #: The node population; ``len()`` is the node count on every engine:
+    #: the event :class:`~repro.sim.network.Network`, the array engine's
+    #: :class:`~repro.sim.array_engine.layout.ArrayLayout`, or the
+    #: runtime's ``{node id: RtNode}`` map.
+    network: object
+    #: ``ClusterLayout`` (event, runtime) or ``ArrayLayout`` (array);
+    #: both expose ``cluster_count``.
+    layout: object
     faultload: Faultload
+    #: Executed crash time per crashed node.
+    crash_times: Dict[NodeId, SimTime]
+    #: First FDS epoch (after formation, or the runtime's warmup).
+    fds_start: SimTime
+    #: End of the last execution window, ``fds_start + (executions - 1)
+    #: * phi + 0.95 * phi``: where the event scheduler parks its clock.
+    horizon: SimTime
     properties: PropertyReport
     messages: MessageCounts
-    tracer: Tracer
-    crash_times: Dict[NodeId, SimTime]
+    #: ``None`` for a runtime run that spooled per node instead.
+    tracer: Optional[Tracer]
+    #: Energy ledger, populated iff energy was tracked.
+    energy: object = None
+    #: Event engine: the installed :class:`FdsDeployment`.
+    deployment: Optional[FdsDeployment] = None
+    #: Array engine with ``formation="protocol"``: the converged
+    #: :class:`~repro.sim.array_engine.formation.FormationOutcome`.
+    formation: object = None
+    #: Runtime with a spool directory: the per-node spools' directory and
+    #: their merged trace.
+    spool_dir: Optional[Path] = None
+    merged_spool: Optional[Path] = None
+    #: Runtime: undecodable datagrams dropped.
+    codec_errors: int = 0
+
+    def _first_detections(self) -> Optional[Dict[NodeId, SimTime]]:
+        """First detection per target from the tracer's in-memory
+        records, else from the run's complete spool; ``None`` if the run
+        kept neither."""
+        iter_kind = getattr(self.tracer, "iter_kind", None)
+        if iter_kind is not None:
+            return first_detections(iter_kind(DETECTION_KIND))
+        spool = self.merged_spool
+        if spool is None and getattr(self.tracer, "closed", False):
+            spool = self.tracer.path
+        if spool is None:
+            return None
+        from repro.obs.spool import iter_spool
+
+        return first_detections(iter_spool(spool, kinds=(DETECTION_KIND,)))
 
     @property
     def detection_latencies(self) -> Dict[NodeId, Optional[SimTime]]:
-        """Crash-to-first-detection seconds per crashed node.
-
-        Needs a tracer with full in-memory records (the default
-        :class:`RecordingTracer`).  With a disk-spooling tracer every
-        entry is ``None`` here -- run ``repro trace latency`` on the
-        spool instead.
-        """
-        return detection_latency(self.tracer, self.crash_times)
+        """Crash-to-first-detection seconds per crashed node (``None``:
+        never detected, or the run kept no detection records)."""
+        return detection_latency(self._first_detections(), self.crash_times)
 
     def summary(self) -> Dict[str, float]:
-        latencies = [v for v in self.detection_latencies.values() if v is not None]
-        return {
+        """Scalar digest; ``mean_detection_latency`` is left out when no
+        crash has a known latency."""
+        out = {
             "nodes": float(len(self.network)),
-            "clusters": float(len(self.layout.clusters)),
+            "clusters": float(self.layout.cluster_count),
             "crashes": float(len(self.faultload)),
             "mean_completeness": self.properties.mean_completeness,
             "accuracy_violations": float(
@@ -150,10 +195,24 @@ class ScenarioResult:
             ),
             "transmissions": float(self.messages.transmissions),
             "observed_loss_rate": self.messages.loss_rate,
-            "mean_detection_latency": (
-                float(sum(latencies) / len(latencies)) if latencies else 0.0
-            ),
         }
+        latencies = [
+            v for v in self.detection_latencies.values() if v is not None
+        ]
+        if latencies:
+            out["mean_detection_latency"] = float(
+                sum(latencies) / len(latencies)
+            )
+        return out
+
+
+def summary_lines(summary: Dict[str, float]) -> List[str]:
+    """A summary as CLI lines, printing ``unknown`` for a missing mean
+    detection latency."""
+    lines = [f"  {key:26s} {value:.6g}" for key, value in summary.items()]
+    if "mean_detection_latency" not in summary:
+        lines.append(f"  {'mean_detection_latency':26s} unknown")
+    return lines
 
 
 def run_scenario(
@@ -173,10 +232,8 @@ def run_scenario(
     trace``) can recover phi/thop/seed from the trace alone.
 
     With ``engine="array"`` the run is delegated to
-    :func:`repro.sim.array_engine.run_array_scenario`; the returned
-    :class:`~repro.sim.array_engine.ArrayScenarioResult` exposes the
-    same scoring surface (``summary()``, ``properties``, ``messages``,
-    ``detection_latencies``, ``crash_times``, verdict-kind trace).
+    :func:`repro.sim.array_engine.run_array_scenario`; either engine
+    returns a :class:`ScenarioResult`.
     """
     if config.engine == "array":
         from repro.sim.array_engine import run_array_scenario
@@ -286,12 +343,16 @@ def run_scenario(
 
     return ScenarioResult(
         config=config,
+        fds=config.fds,
         network=network,
         layout=layout,
-        deployment=deployment,
         faultload=faultload,
+        crash_times=crash_times,
+        fds_start=fds_start,
+        horizon=network.sim.now,
         properties=evaluate_properties(deployment),
         messages=collect_message_counts(deployment),
         tracer=tracer,
-        crash_times=crash_times,
+        energy=energy,
+        deployment=deployment,
     )

@@ -7,7 +7,7 @@ injects it, so experiments can log and replay the exact fault scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,8 @@ def make_random_crashes(
 
     Each crash is placed in the gap before a uniformly drawn execution in
     ``[first_execution, last_execution]`` (default: first only), at 60% of
-    the interval -- safely outside the execution window.
+    the interval -- safely outside the execution window
+    (:func:`crash_executions` inverts the placement).
     """
     if count < 0:
         raise ConfigurationError(f"count must be >= 0, got {count}")
@@ -76,3 +77,19 @@ def make_random_crashes(
         events.append(CrashEvent(node_id=NodeId(int(nid)), time=time))
     events.sort(key=lambda e: (e.time, e.node_id))
     return Faultload(events=tuple(events))
+
+
+def crash_executions(
+    faultload: Faultload, fds_start: SimTime, phi: float
+) -> Dict[NodeId, int]:
+    """First 0-based execution during which each crashed node is dead.
+
+    Inverts :func:`make_random_crashes`' placement ``fds_start + (k - 1)
+    * phi + 0.6 * phi`` -- after every round of execution ``k - 1``,
+    before execution ``k`` -- so the node is alive through execution
+    ``k - 1`` and silent from ``k`` on.
+    """
+    return {
+        event.node_id: round((event.time - fds_start - 0.6 * phi) / phi) + 1
+        for event in faultload.events
+    }

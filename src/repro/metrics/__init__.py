@@ -3,10 +3,8 @@
 from repro.metrics.collectors import MessageCounts, collect_message_counts
 from repro.metrics.properties import (
     PropertyReport,
-    accuracy_violations,
-    completeness_of,
-    detection_latency,
     evaluate_properties,
+    score_properties,
 )
 from repro.metrics.summary import SeriesSummary, summarize
 
@@ -14,10 +12,8 @@ __all__ = [
     "MessageCounts",
     "collect_message_counts",
     "PropertyReport",
-    "accuracy_violations",
-    "completeness_of",
-    "detection_latency",
     "evaluate_properties",
+    "score_properties",
     "SeriesSummary",
     "summarize",
 ]

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.energy.model import EnergyModel
-from repro.fds.service import FdsDeployment
+from repro.fds.service import FdsDeployment, FdsProtocol
 from repro.types import NodeId
 
 
@@ -35,9 +35,24 @@ class MessageCounts:
 def collect_message_counts(deployment: FdsDeployment) -> MessageCounts:
     """Aggregate counters from the medium and every protocol instance."""
     stats = deployment.network.medium.message_stats()
+    return count_messages(
+        deployment.protocols,
+        transmissions=stats["transmissions"],
+        deliveries=stats["deliveries"],
+        losses=stats["losses"],
+    )
+
+
+def count_messages(
+    protocols: Mapping[NodeId, FdsProtocol],
+    transmissions: int,
+    deliveries: int,
+    losses: int,
+) -> MessageCounts:
+    """Link-level counts plus every protocol instance's counters."""
     peer_requests = peer_forwards = peer_recoveries = 0
     reports = retrans = bgw = origin = 0
-    for protocol in deployment.protocols.values():
+    for protocol in protocols.values():
         if protocol.peer is not None:
             peer_requests += protocol.peer.requests_sent
             peer_forwards += protocol.peer.forwards_sent
@@ -48,9 +63,9 @@ def collect_message_counts(deployment: FdsDeployment) -> MessageCounts:
             bgw += protocol.inter.bgw_activations
             origin += protocol.inter.origin_retransmissions
     return MessageCounts(
-        transmissions=stats["transmissions"],
-        deliveries=stats["deliveries"],
-        losses=stats["losses"],
+        transmissions=transmissions,
+        deliveries=deliveries,
+        losses=losses,
         peer_requests=peer_requests,
         peer_forwards=peer_forwards,
         peer_recoveries=peer_recoveries,

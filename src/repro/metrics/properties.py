@@ -11,20 +11,26 @@ The paper's target properties (Section 4.1), made measurable:
   operational nodes."  Every (suspector, suspected) pair where the
   suspected node is in fact operational is a violation.
 
-The scorer reads protocol state (each node's
-:class:`~repro.fds.reports.ReportHistory`) and ground truth from the
-network -- exactly the vantage point the paper's analysis takes.
+Every engine scores through one vectorized kernel,
+:func:`score_properties`, over a boolean knowledge matrix (node x
+target).  The event and runtime engines build that matrix from each
+protocol's :class:`~repro.fds.reports.ReportHistory`
+(:func:`score_histories`); the array engine hands over the matrix it
+already keeps.  Ground truth comes from the engine -- exactly the
+vantage point the paper's analysis takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
 
-from repro.fds.service import FdsDeployment
-from repro.sim.trace import RecordingTracer
-from repro.fds import events as ev
-from repro.types import NodeId, SimTime
+import numpy as np
+
+from repro.types import NodeId
+
+if TYPE_CHECKING:
+    from repro.fds.service import FdsDeployment
 
 
 @dataclass(frozen=True)
@@ -56,57 +62,114 @@ class PropertyReport:
         return not self.accuracy_violations
 
 
-def _observer_ids(deployment: FdsDeployment) -> List[NodeId]:
-    """Operational nodes that belong to some cluster (paper's scope)."""
-    return [
-        nid
-        for nid in deployment.network.operational_ids()
-        if deployment.layout.is_clustered(nid)
-    ]
+def score_properties(
+    known: np.ndarray,
+    target_ids: np.ndarray,
+    crashed: np.ndarray,
+    observers: np.ndarray,
+) -> PropertyReport:
+    """Score one finished run from its knowledge matrix.
 
+    ``known[n, c]`` says node ``n`` (rows are node ids) holds target
+    ``target_ids[c]`` as failed.  ``crashed`` and ``observers`` are
+    node-id masks: ground-truth crashes, and the operational nodes whose
+    knowledge completeness counts (the paper's scope: clustered ones).
+    A crashed node nobody knows about has no column.  Accuracy pairs
+    scan every operational node -- observer or not -- sorted by
+    (suspector, suspected).
+    """
+    op_mask = ~crashed
+    op_ids = np.flatnonzero(op_mask)
+    crashed_ids = np.flatnonzero(crashed)
+    obs_ids = np.flatnonzero(observers)
+    target_ids = np.asarray(target_ids, dtype=np.int64)
+    column = {int(t): c for c, t in enumerate(target_ids)}
 
-def completeness_of(deployment: FdsDeployment, failure: NodeId) -> float:
-    """Fraction of operational clustered nodes aware of ``failure``."""
-    observers = _observer_ids(deployment)
-    if not observers:
-        return 1.0
-    aware = sum(
-        1 for nid in observers if failure in deployment.protocols[nid].history
-    )
-    return aware / len(observers)
-
-
-def accuracy_violations(
-    deployment: FdsDeployment,
-) -> Tuple[Tuple[NodeId, NodeId], ...]:
-    """All (suspector, operational-suspected) pairs, sorted."""
-    operational = set(deployment.network.operational_ids())
-    violations: List[Tuple[NodeId, NodeId]] = []
-    for nid in sorted(operational):
-        protocol = deployment.protocols[nid]
-        for suspected in sorted(protocol.history.known):
-            if suspected in operational:
-                violations.append((nid, suspected))
-    return tuple(violations)
-
-
-def evaluate_properties(deployment: FdsDeployment) -> PropertyReport:
-    """Score a finished run."""
-    observers = _observer_ids(deployment)
-    crashed = deployment.network.crashed_ids()
     completeness: Dict[NodeId, float] = {}
     incomplete: List[NodeId] = []
-    for failure in crashed:
-        frac = completeness_of(deployment, failure)
-        completeness[failure] = frac
+    for v in crashed_ids:
+        col = column.get(int(v))
+        if not obs_ids.size:
+            frac = 1.0
+        elif col is None:
+            frac = 0.0
+        else:
+            frac = float(known[obs_ids, col].sum()) / float(obs_ids.size)
+        completeness[NodeId(int(v))] = frac
         if frac < 1.0:
-            incomplete.append(failure)
+            incomplete.append(NodeId(int(v)))
+
+    violations: List[Tuple[NodeId, NodeId]] = []
+    if target_ids.size and op_ids.size:
+        op_cols = np.flatnonzero(op_mask[target_ids])
+        if op_cols.size:
+            sub = known[np.ix_(op_ids, op_cols)]
+            rows, cols = np.nonzero(sub)
+            sus = target_ids[op_cols][cols]
+            order = np.lexsort((sus, op_ids[rows]))
+            violations = [
+                (NodeId(int(op_ids[rows[i]])), NodeId(int(sus[i])))
+                for i in order
+            ]
+
     return PropertyReport(
         completeness=completeness,
-        accuracy_violations=accuracy_violations(deployment),
+        accuracy_violations=tuple(violations),
         incomplete_failures=tuple(incomplete),
-        operational_count=len(observers),
-        crashed_count=len(crashed),
+        operational_count=int(obs_ids.size),
+        crashed_count=int(crashed_ids.size),
+    )
+
+
+def score_histories(
+    histories: Mapping[NodeId, object],
+    node_ids: Iterable[NodeId],
+    crashed: Iterable[NodeId],
+    observers: Iterable[NodeId],
+) -> PropertyReport:
+    """Build the knowledge matrix from per-node failure knowledge
+    (objects with a ``known`` id set, typically
+    :class:`~repro.fds.reports.ReportHistory`) and score it.
+
+    Suspicions of ids outside ``node_ids`` can be neither complete nor
+    inaccurate, so they get no column.
+    """
+    node_set = {int(n) for n in node_ids}
+    size = max(node_set, default=-1) + 1
+    pairs = np.array(
+        [
+            (int(nid), int(t))
+            for nid, history in histories.items()
+            if int(nid) in node_set
+            for t in history.known
+            if int(t) in node_set
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    targets = np.unique(pairs[:, 1])
+    known = np.zeros((size, targets.size), dtype=bool)
+    known[pairs[:, 0], np.searchsorted(targets, pairs[:, 1])] = True
+
+    def mask(ids: Iterable[NodeId]) -> np.ndarray:
+        out = np.zeros(size, dtype=bool)
+        out[[int(n) for n in ids]] = True
+        return out
+
+    return score_properties(known, targets, mask(crashed), mask(observers))
+
+
+def evaluate_properties(deployment: "FdsDeployment") -> PropertyReport:
+    """Score a finished event-engine run."""
+    network = deployment.network
+    return score_histories(
+        {nid: p.history for nid, p in deployment.protocols.items()},
+        network.nodes,
+        network.crashed_ids(),
+        (
+            nid
+            for nid in network.operational_ids()
+            if deployment.layout.is_clustered(nid)
+        ),
     )
 
 
@@ -116,61 +179,12 @@ def evaluate_histories(
 ) -> PropertyReport:
     """Score completeness/accuracy from raw per-node failure knowledge.
 
-    ``histories`` maps each node to an object supporting ``in`` (its
-    failure-knowledge set) -- typically a
-    :class:`~repro.fds.reports.ReportHistory`.  Used for baseline
-    detectors, which have no cluster layout; every operational node is an
-    observer.
+    Used for baseline detectors, which have no cluster layout; every
+    operational node with a history is an observer.
     """
-    observers = [nid for nid in network.operational_ids() if nid in histories]
-    operational = set(network.operational_ids())
-    crashed = network.crashed_ids()
-    completeness: Dict[NodeId, float] = {}
-    incomplete: List[NodeId] = []
-    for failure in crashed:
-        if observers:
-            aware = sum(1 for nid in observers if failure in histories[nid])
-            frac = aware / len(observers)
-        else:
-            frac = 1.0
-        completeness[failure] = frac
-        if frac < 1.0:
-            incomplete.append(failure)
-    violations: List[Tuple[NodeId, NodeId]] = []
-    for nid in sorted(observers):
-        history = histories[nid]
-        for suspected in sorted(getattr(history, "known", frozenset())):
-            if suspected in operational:
-                violations.append((nid, suspected))
-    return PropertyReport(
-        completeness=completeness,
-        accuracy_violations=tuple(violations),
-        incomplete_failures=tuple(incomplete),
-        operational_count=len(observers),
-        crashed_count=len(crashed),
+    return score_histories(
+        histories,
+        network.nodes,
+        network.crashed_ids(),
+        (nid for nid in network.operational_ids() if nid in histories),
     )
-
-
-def detection_latency(
-    tracer: RecordingTracer,
-    crash_times: Dict[NodeId, SimTime],
-) -> Dict[NodeId, Optional[SimTime]]:
-    """Seconds from each crash to its *first* detection event (None if never).
-
-    Needs a tracer with full in-memory records.  Tracers without
-    ``iter_kind`` (disk spoolers, NullTracer) yield all-``None``; the
-    latencies are then recovered post-hoc from the spool by
-    ``repro trace latency``.
-    """
-    iter_kind = getattr(tracer, "iter_kind", None)
-    if iter_kind is None:
-        return {nid: None for nid in crash_times}
-    first_detection: Dict[NodeId, SimTime] = {}
-    for record in iter_kind(ev.DETECTION):
-        target = NodeId(int(record.detail["target"]))
-        if target not in first_detection:
-            first_detection[target] = record.time
-    return {
-        nid: (first_detection[nid] - t if nid in first_detection else None)
-        for nid, t in crash_times.items()
-    }

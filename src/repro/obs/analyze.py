@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import (
@@ -25,6 +25,7 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.sim.trace import TraceRecord
+from repro.types import NodeId
 
 #: Kind of the run-description record the scenario runner emits first.
 META_KIND = "meta.scenario"
@@ -32,11 +33,50 @@ META_KIND = "meta.scenario"
 PROFILE_KIND = "profile.phase"
 #: Kind the node runtime emits when a node fail-stops.
 CRASH_KIND = "sim.crash"
+#: Kind a clusterhead emits when it declares a node failed.
+DETECTION_KIND = "fds.detection"
 
 #: Detail keys that name sets of node ids a record is "about".
 _NODE_SET_KEYS = ("failures", "covered", "pending", "admissions")
 #: Detail keys that name a single node id a record is "about".
 _NODE_KEYS = ("target", "old_head", "sender")
+
+
+def first_detections(records: Iterable[TraceRecord]) -> Dict[NodeId, float]:
+    """Earliest ``fds.detection`` time per target (other kinds skipped).
+
+    The one reduction over detection records: in-memory traces, spools
+    and merged runtime spools all go through it.
+    """
+    first: Dict[NodeId, float] = {}
+    for record in records:
+        if record.kind != DETECTION_KIND:
+            continue
+        target = record.detail.get("target")
+        if target is None:
+            continue
+        target = NodeId(int(target))
+        if target not in first or record.time < first[target]:
+            first[target] = record.time
+    return first
+
+
+def detection_latency(
+    first_detection: Optional[Mapping[NodeId, float]],
+    crash_times: Mapping[NodeId, float],
+) -> Dict[NodeId, Optional[float]]:
+    """Seconds from each crash to its target's first detection.
+
+    ``None`` means unknown: the crash was never detected, or
+    ``first_detection`` is ``None`` because the run kept no detection
+    records.  A negative latency means the target was (falsely)
+    detected before it crashed.
+    """
+    known = first_detection if first_detection is not None else {}
+    return {
+        nid: (known[nid] - t if nid in known else None)
+        for nid, t in crash_times.items()
+    }
 
 
 @dataclass
@@ -123,13 +163,13 @@ class TraceSummary:
         """Crash-to-first-detection latency per crashed node, in phi units
         (``None`` when the crash was never detected)."""
         phi = self.meta.phi if self.meta.phi > 0 else 1.0
-        out: Dict[int, Optional[float]] = {}
-        for node, crashed_at in sorted(self.crash_times.items()):
-            detected_at = self.first_detection.get(node)
-            out[node] = (
-                None if detected_at is None else (detected_at - crashed_at) / phi
-            )
-        return out
+        latencies = detection_latency(
+            self.first_detection, dict(sorted(self.crash_times.items()))
+        )
+        return {
+            node: None if seconds is None else seconds / phi
+            for node, seconds in latencies.items()
+        }
 
     def phase_shares(self) -> List[Tuple[str, float, float, int]]:
         """``(phase, seconds, share, calls)``, largest first."""
@@ -150,6 +190,7 @@ def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
         HOP_LATENCY_BUCKETS,
         help="Per-hop delivery latency of received copies",
     )
+    detections: List[TraceRecord] = []
     for record in records:
         summary.records += 1
         if summary.first_time is None:
@@ -166,14 +207,13 @@ def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
             summary.phases[phase] = (old_s + seconds, old_c + calls)
         elif record.kind == CRASH_KIND and record.node is not None:
             summary.crash_times.setdefault(int(record.node), record.time)
-        elif record.kind == "fds.detection":
-            target = record.detail.get("target")
-            if target is not None:
-                summary.first_detection.setdefault(int(target), record.time)
+        elif record.kind == DETECTION_KIND:
+            detections.append(record)
         elif record.kind == "radio.rx":
             latency = record.detail.get("latency")
             if latency is not None:
                 hop.observe(float(latency))
+    summary.first_detection = first_detections(detections)
     phi_hist = summary.registry.histogram(
         "repro_detection_latency_phi",
         PHI_LATENCY_BUCKETS,
@@ -188,7 +228,7 @@ def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
     ).inc(summary.records)
     counters.counter(
         "repro_trace_detections_total", "fds.detection events"
-    ).inc(summary.kinds.get("fds.detection", 0))
+    ).inc(summary.kinds.get(DETECTION_KIND, 0))
     counters.counter(
         "repro_trace_crashes_total", "sim.crash events"
     ).inc(len(summary.crash_times))

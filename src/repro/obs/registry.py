@@ -305,8 +305,9 @@ def scenario_metrics(
     registry: Optional[MetricsRegistry] = None,
 ) -> MetricsRegistry:
     """Fold a finished :class:`~repro.experiments.runner.ScenarioResult`
-    into a registry: message counters, loss rate, completeness/accuracy,
-    and the detection-latency histogram in phi units.
+    (any engine) into a registry: message counters, loss rate,
+    completeness/accuracy, and the detection-latency histogram in phi
+    units (crashes of unknown latency are not observed).
     """
     reg = registry if registry is not None else MetricsRegistry()
     messages = result.messages
@@ -329,7 +330,7 @@ def scenario_metrics(
                 "Operational nodes suspected by operational nodes").inc(
         len(result.properties.accuracy_violations)
     )
-    phi = result.config.fds.phi
+    phi = result.fds.phi
     latencies = [
         v / phi for v in result.detection_latencies.values() if v is not None
     ]

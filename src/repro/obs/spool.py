@@ -127,6 +127,11 @@ class SpoolingTracer(Tracer):
         """The most recent spooled records (up to the ring size)."""
         return tuple(self._tail)
 
+    @property
+    def closed(self) -> bool:
+        """Whether the spool is complete on disk (safe to read back)."""
+        return self._closed
+
     def flush(self) -> None:
         with self._lock:
             if not self._closed:

@@ -61,6 +61,7 @@ def add_rt_parser(sub) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import summary_lines
     from repro.rt.runtime import RtScenario, run_rt_scenario
 
     scenario = RtScenario(
@@ -75,13 +76,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     spool_dir = Path(args.spool_dir) if args.spool_dir else None
     result = run_rt_scenario(scenario, spool_dir=spool_dir)
-    for key, value in result.summary().items():
-        print(f"  {key:26s} {value:.6g}")
+    for line in summary_lines(result.summary()):
+        print(line)
+    print(f"  {'codec_errors':26s} {result.codec_errors}")
     if result.crash_times:
-        phi = result.config.phi
+        phi = result.fds.phi
+        latencies = result.detection_latencies
         rows = []
         for nid in sorted(result.crash_times):
-            latency = result.detection_latencies.get(nid)
+            latency = latencies[nid]
             rows.append([
                 int(nid),
                 f"{result.crash_times[nid]:.3f}",

@@ -34,17 +34,18 @@ cancelled, and its socket closes.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.cluster.geometric import build_clusters
-from repro.cluster.state import ClusterLayout
 from repro.errors import ConfigurationError
+from repro.experiments.runner import ScenarioResult
 from repro.failure.faultload import Faultload
 from repro.fds.config import FdsConfig
 from repro.fds.service import FdsProtocol
-from repro.metrics.properties import PropertyReport, evaluate_properties
+from repro.metrics.collectors import count_messages
+from repro.metrics.properties import score_histories
 from repro.obs.analyze import META_KIND
 from repro.obs.profiler import NULL_PROFILER
 from repro.obs.spool import SpoolingTracer
@@ -52,7 +53,7 @@ from repro.rt.codec import CodecError, decode_frame, encode_frame
 from repro.rt.collector import merge_spools
 from repro.rt.faults import CrashDriver, derive_faultload
 from repro.rt.substrate import RtNode
-from repro.sim.loss import build_loss_model
+from repro.sim.loss import build_loss_model, sweep_loss_params
 from repro.sim.medium import Envelope, draw_delays
 from repro.sim.trace import RecordingTracer, Tracer
 from repro.topology.generators import multi_cluster_field
@@ -145,127 +146,6 @@ class RtScenario:
             wait_slot=spec_config.wait_slot * self.time_scale,
         )
 
-    def loss_params(self) -> Tuple[Tuple[str, float], ...]:
-        if self.loss_kind == "bounded":
-            return (("p", self.loss_p), ("budget", float(self.loss_budget)))
-        if self.loss_kind == "bernoulli":
-            return (("p", self.loss_p),)
-        if self.loss_kind == "gilbert":
-            return (
-                ("p_good", 0.02),
-                ("p_bad", 0.8),
-                ("p_gb", self.loss_p / 5.0),
-                ("p_bg", 0.3),
-            )
-        return ()
-
-
-class _RtNetworkView:
-    """Ground-truth liveness over the runtime's nodes (metrics only)."""
-
-    def __init__(self, nodes: Dict[NodeId, RtNode]) -> None:
-        self.nodes = nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def operational_ids(self) -> Tuple[NodeId, ...]:
-        return tuple(
-            sorted(nid for nid, n in self.nodes.items() if n.is_operational)
-        )
-
-    def crashed_ids(self) -> Tuple[NodeId, ...]:
-        return tuple(
-            sorted(nid for nid, n in self.nodes.items() if not n.is_operational)
-        )
-
-
-@dataclass
-class _RtDeploymentView:
-    """Duck-typed :class:`~repro.fds.service.FdsDeployment` for the
-    property oracles (:func:`~repro.metrics.properties.evaluate_properties`)."""
-
-    network: _RtNetworkView
-    layout: ClusterLayout
-    protocols: Dict[NodeId, FdsProtocol]
-
-
-@dataclass
-class RtResult:
-    """Everything one runtime run produced."""
-
-    scenario: RtScenario
-    layout: ClusterLayout
-    protocols: Dict[NodeId, FdsProtocol]
-    nodes: Dict[NodeId, RtNode]
-    config: FdsConfig
-    fds_start: float
-    faultload: Faultload
-    crash_times: Dict[NodeId, float]
-    tracer: Optional[Tracer]
-    spool_dir: Optional[Path]
-    merged_spool: Optional[Path]
-    codec_errors: int = 0
-    properties: PropertyReport = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.properties = evaluate_properties(
-            _RtDeploymentView(
-                network=_RtNetworkView(self.nodes),
-                layout=self.layout,
-                protocols=self.protocols,
-            )
-        )
-
-    def _iter_detections(self):
-        """Detection records from the in-memory tracer, or (for spooled
-        runs) re-read from the merged spool on disk."""
-        iter_kind = getattr(self.tracer, "iter_kind", None)
-        if iter_kind is not None:
-            yield from iter_kind("fds.detection")
-            return
-        if self.merged_spool is not None:
-            from repro.obs.spool import iter_spool
-
-            for record in iter_spool(self.merged_spool):
-                if record.kind == "fds.detection":
-                    yield record
-
-    @property
-    def detection_latencies(self) -> Dict[NodeId, Optional[float]]:
-        """Crash-to-first-detection wall seconds per crashed node."""
-        first: Dict[NodeId, float] = {}
-        for record in self._iter_detections():
-            target = NodeId(int(record.detail["target"]))
-            if target not in first or record.time < first[target]:
-                first[target] = record.time
-        return {
-            nid: (first[nid] - t if nid in first else None)
-            for nid, t in self.crash_times.items()
-        }
-
-    def summary(self) -> Dict[str, float]:
-        latencies = [
-            v for v in self.detection_latencies.values() if v is not None
-        ]
-        sent = sum(n.sent_count for n in self.nodes.values())
-        received = sum(n.received_count for n in self.nodes.values())
-        return {
-            "nodes": float(len(self.nodes)),
-            "clusters": float(len(self.layout.clusters)),
-            "crashes": float(len(self.faultload)),
-            "mean_completeness": self.properties.mean_completeness,
-            "accuracy_violations": float(
-                len(self.properties.accuracy_violations)
-            ),
-            "transmissions": float(sent),
-            "deliveries": float(received),
-            "codec_errors": float(self.codec_errors),
-            "mean_detection_latency": (
-                float(sum(latencies) / len(latencies)) if latencies else 0.0
-            ),
-        }
-
 
 class _NodeDatagramProtocol(asyncio.DatagramProtocol):
     """One node's socket: decode, trace, deliver -- and never die."""
@@ -354,7 +234,9 @@ class RtRuntime:
         # loss-independent anchors (same policy as the array engine).
         self.loss_model = build_loss_model(
             scenario.loss_kind,
-            scenario.loss_params(),
+            sweep_loss_params(
+                scenario.loss_kind, scenario.loss_p, scenario.loss_budget
+            ),
             loss_probability=scenario.loss_p,
             transmission_range=scenario.transmission_range,
         )
@@ -385,6 +267,8 @@ class RtRuntime:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._epoch = 0.0
         self.codec_errors = 0
+        #: Copies the loss model dropped.
+        self.losses = 0
         self.fds_start = 0.0
         self.faultload: Optional[Faultload] = None
 
@@ -429,6 +313,7 @@ class RtRuntime:
             if self.loss_model.is_lost(
                 sender, neighbor, distance, now, self._loss_rng
             ):
+                self.losses += 1
                 if tracer.enabled:
                     tracer.record(
                         now,
@@ -478,7 +363,7 @@ class RtRuntime:
         except asyncio.CancelledError:
             pass
 
-    async def run(self) -> RtResult:
+    async def run(self) -> ScenarioResult:
         scenario = self.scenario
         config = self.config
         loop = asyncio.get_running_loop()
@@ -588,16 +473,37 @@ class RtRuntime:
                 self._run_tracer.close()
             merged = merge_spools(self.spool_dir)
 
-        crash_times = {e.node_id: e.time for e in self.faultload.events}
-        return RtResult(
-            scenario=scenario,
+        nodes = self.nodes
+        crash_times = {
+            e.node_id: nodes[e.node_id].crashed_at
+            for e in self.faultload.events
+            if nodes[e.node_id].crashed_at is not None
+        }
+        return ScenarioResult(
+            config=scenario,
+            fds=config,
+            network=nodes,
             layout=self.layout,
-            protocols=self.protocols,
-            nodes=self.nodes,
-            config=config,
-            fds_start=self.fds_start,
             faultload=self.faultload,
             crash_times=crash_times,
+            fds_start=self.fds_start,
+            horizon=end,
+            properties=score_histories(
+                {nid: p.history for nid, p in self.protocols.items()},
+                nodes,
+                crash_times,
+                (
+                    nid
+                    for nid, node in nodes.items()
+                    if node.is_operational and self.layout.is_clustered(nid)
+                ),
+            ),
+            messages=count_messages(
+                self.protocols,
+                transmissions=sum(n.sent_count for n in nodes.values()),
+                deliveries=sum(n.received_count for n in nodes.values()),
+                losses=self.losses,
+            ),
             tracer=self._shared_tracer,
             spool_dir=self.spool_dir,
             merged_spool=merged,
@@ -609,7 +515,7 @@ def run_rt_scenario(
     scenario: RtScenario,
     tracer: Optional[Tracer] = None,
     spool_dir: Optional[Path] = None,
-) -> RtResult:
+) -> ScenarioResult:
     """Run one runtime scenario to completion (synchronous entry point)."""
     runtime = RtRuntime(scenario, tracer=tracer, spool_dir=spool_dir)
     return asyncio.run(runtime.run())

@@ -117,6 +117,9 @@ class RtNode:
         self.protocols: List[Protocol] = []
         self.sent_count = 0
         self.received_count = 0
+        #: Clock reading at the fail-stop (``None`` while operational);
+        #: the same instant the ``sim.crash`` record carries.
+        self.crashed_at: Optional[float] = None
         self._link = link
         self._clock = clock
         self._tracer = tracer
@@ -179,8 +182,11 @@ class RtNode:
         if self.status is NodeStatus.CRASHED:
             raise NodeStateError(f"node {self.node_id} is already crashed")
         self.status = NodeStatus.CRASHED
+        self.crashed_at = self.now
         if self._tracer.enabled:
-            self._tracer.record(self.now, "sim.crash", node=int(self.node_id))
+            self._tracer.record(
+                self.crashed_at, "sim.crash", node=int(self.node_id)
+            )
         self.timers.stop_all()
         for protocol in self.protocols:
             protocol.on_crash()

@@ -39,17 +39,13 @@ from repro.sim.array_engine.layout import (
 )
 from repro.sim.array_engine.loss import ARRAY_LOSS_KINDS, ArrayLossDraw
 from repro.sim.array_engine.rounds import ArrayRoundEngine
-from repro.sim.array_engine.runner import (
-    ArrayScenarioResult,
-    run_array_scenario,
-)
+from repro.sim.array_engine.runner import run_array_scenario
 
 __all__ = [
     "ARRAY_LOSS_KINDS",
     "ArrayLayout",
     "ArrayLossDraw",
     "ArrayRoundEngine",
-    "ArrayScenarioResult",
     "FormationOutcome",
     "build_array_layout",
     "formation_array_layout",

@@ -86,6 +86,9 @@ class ArrayLayout:
     #: carry arbitrary head NIDs here.
     head_ids: Optional[np.ndarray] = None
 
+    def __len__(self) -> int:
+        return self.node_count
+
     @property
     def max_members(self) -> int:
         return int(self.members.shape[1])

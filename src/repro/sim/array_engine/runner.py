@@ -2,10 +2,9 @@
 
 :func:`run_array_scenario` is the array-engine twin of
 :func:`repro.experiments.runner.run_scenario`: same
-:class:`~repro.experiments.runner.ScenarioConfig` in, a result object
-with the same scoring surface out (``summary()``, ``properties``,
-``messages``, ``detection_latencies``, ``crash_times``, a trace with the
-same verdict-bearing record kinds).  The field, the faultload, and the
+:class:`~repro.experiments.runner.ScenarioConfig` in, the same
+:class:`~repro.experiments.runner.ScenarioResult` out, with a trace of
+the same verdict-bearing record kinds.  The field, the faultload, and the
 crash schedule reuse the *identical* seeded streams as the event engine
 (``stream("placement")``, ``stream("faultload")``), so a scenario's
 topology and ground truth match bit-for-bit across engines; only the
@@ -34,16 +33,14 @@ engine.
 
 from __future__ import annotations
 
-import math
 import time as _time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.failure.faultload import Faultload, make_random_crashes
+from repro.failure.faultload import crash_executions, make_random_crashes
 from repro.metrics.collectors import MessageCounts
-from repro.metrics.properties import PropertyReport, detection_latency
+from repro.metrics.properties import score_properties
 from repro.obs.analyze import META_KIND, PROFILE_KIND
 from repro.obs.profiler import (
     PHASE_ARRAY_LAYOUT,
@@ -52,210 +49,14 @@ from repro.obs.profiler import (
     PhaseProfiler,
 )
 from repro.energy.model import EnergyConfig
+from repro.experiments.runner import ScenarioResult
 from repro.sim.array_engine.energy import ArrayEnergyLedger
-from repro.sim.array_engine.layout import ArrayLayout, build_array_layout
+from repro.sim.array_engine.layout import build_array_layout
 from repro.sim.array_engine.loss import ArrayLossDraw
 from repro.sim.array_engine.rounds import ArrayRoundEngine
 from repro.sim.trace import RecordingTracer, Tracer
-from repro.types import NodeId, SimTime
+from repro.types import NodeId
 from repro.util.rng import RngFactory
-
-
-@dataclass
-class _ArrayClock:
-    """Duck-type of ``network.sim`` for the scoring/oracle surface."""
-
-    now: float
-
-
-class _ArrayNetworkFacade:
-    """Duck-type of :class:`~repro.sim.network.Network` for scoring.
-
-    Provides exactly what the summary and the differential oracles
-    consume: ``sim.now``, ``operational_ids()``, ``crashed_ids()``, and
-    ``len()``.
-    """
-
-    def __init__(
-        self,
-        now: float,
-        operational: Tuple[NodeId, ...],
-        crashed: Tuple[NodeId, ...],
-    ) -> None:
-        self.sim = _ArrayClock(now=now)
-        self._operational = operational
-        self._crashed = crashed
-
-    def operational_ids(self) -> Tuple[NodeId, ...]:
-        return self._operational
-
-    def crashed_ids(self) -> Tuple[NodeId, ...]:
-        return self._crashed
-
-    def __len__(self) -> int:
-        return len(self._operational) + len(self._crashed)
-
-
-class _ArrayLayoutFacade:
-    """Duck-type of ``ClusterLayout`` where only ``len(clusters)`` and
-    clustered-membership checks are consumed."""
-
-    def __init__(
-        self,
-        cluster_count: int,
-        node_count: int,
-        assign: Optional[np.ndarray] = None,
-    ) -> None:
-        self.clusters = range(cluster_count)
-        self._node_count = node_count
-        #: ``None`` means the oracle lattice (everyone clustered,
-        #: spacing < 2r); protocol layouts pass their ``assign`` array
-        #: so unclustered nodes (``PAD``) answer False.
-        self._assign = assign
-
-    def is_clustered(self, node_id: NodeId) -> bool:
-        nid = int(node_id)
-        if not 0 <= nid < self._node_count:
-            return False
-        if self._assign is None:
-            return True
-        return int(self._assign[nid]) >= 0
-
-
-@dataclass
-class ArrayScenarioResult:
-    """Array-engine run product, summary-compatible with ScenarioResult."""
-
-    config: "object"  # ScenarioConfig (kept untyped to avoid an import cycle)
-    network: _ArrayNetworkFacade
-    layout: _ArrayLayoutFacade
-    array_layout: ArrayLayout
-    faultload: Faultload
-    properties: PropertyReport
-    messages: MessageCounts
-    tracer: Tracer
-    crash_times: Dict[NodeId, SimTime]
-    #: Per-node energy ledger (populated iff ``config.track_energy``);
-    #: exposes the event engine's scoring surface (``totals()``,
-    #: ``spread()``, ``remaining_fraction()``).
-    energy: Optional[ArrayEnergyLedger] = None
-    #: Converged formation state (populated iff
-    #: ``config.formation == "protocol"``); feed it to
-    #: :func:`~repro.sim.array_engine.formation.formation_cluster_layout`
-    #: for the event-comparable ``ClusterLayout`` or to
-    #: :func:`~repro.sim.array_engine.formation.formation_shape_violations`
-    #: for the structural audit.
-    formation: Optional["object"] = None
-
-    @property
-    def detection_latencies(self) -> Dict[NodeId, Optional[SimTime]]:
-        return detection_latency(self.tracer, self.crash_times)
-
-    def summary(self) -> Dict[str, float]:
-        latencies = [
-            v for v in self.detection_latencies.values() if v is not None
-        ]
-        return {
-            "nodes": float(len(self.network)),
-            "clusters": float(len(self.layout.clusters)),
-            "crashes": float(len(self.faultload)),
-            "mean_completeness": self.properties.mean_completeness,
-            "accuracy_violations": float(
-                len(self.properties.accuracy_violations)
-            ),
-            "transmissions": float(self.messages.transmissions),
-            "observed_loss_rate": self.messages.loss_rate,
-            "mean_detection_latency": (
-                float(sum(latencies) / len(latencies)) if latencies else 0.0
-            ),
-        }
-
-
-def _crash_executions(
-    faultload: Faultload,
-    node_count: int,
-    executions: int,
-    phi: float,
-    fds_start: float,
-) -> np.ndarray:
-    """First 0-based execution during which each node is crashed.
-
-    The faultload places crash ``k`` (1-based scheduling index) at
-    ``fds_start + (k - 1) * phi + 0.6 * phi`` -- after every round of
-    execution ``k - 1`` but before execution ``k`` -- so the node is
-    alive through execution ``k - 1`` and silent from ``k`` on.  Nodes
-    that never crash get ``executions + 1`` (alive past the horizon).
-    """
-    out = np.full(node_count, executions + 1, dtype=np.int64)
-    for event in faultload.events:
-        k = int(round((event.time - fds_start - 0.6 * phi) / phi)) + 1
-        out[int(event.node_id)] = k
-    return out
-
-
-def _score_properties(
-    engine: ArrayRoundEngine,
-    crash_exec: np.ndarray,
-    executions: int,
-    clustered_mask: Optional[np.ndarray] = None,
-) -> Tuple[PropertyReport, Tuple[NodeId, ...], Tuple[NodeId, ...]]:
-    """Numpy translation of :func:`repro.metrics.properties.evaluate_properties`.
-
-    Observers are the operational *clustered* nodes (the paper's scope;
-    the oracle lattice clusters everyone, so ``clustered_mask=None``
-    means all-True, while protocol layouts pass ``assign != PAD``).  A
-    node is operational at the horizon iff its first dead execution lies
-    beyond the run.  Accuracy pairs scan every operational node --
-    clustered or not -- sorted by (suspector, suspected), matching the
-    event-side scorer.
-    """
-    op_mask = crash_exec > executions
-    op_ids = np.flatnonzero(op_mask)
-    crashed_ids = np.flatnonzero(~op_mask)
-    if clustered_mask is None:
-        obs_ids = op_ids
-    else:
-        obs_ids = np.flatnonzero(op_mask & clustered_mask)
-    known = engine.known
-    t_ids = np.asarray(engine.t_ids, dtype=np.int64)
-
-    completeness: Dict[NodeId, float] = {}
-    incomplete: List[NodeId] = []
-    for v in crashed_ids:
-        col = engine.t_col.get(int(v))
-        if col is None:
-            frac = 0.0 if obs_ids.size else 1.0
-        elif obs_ids.size:
-            frac = float(known[obs_ids, col].sum()) / float(obs_ids.size)
-        else:
-            frac = 1.0
-        completeness[NodeId(int(v))] = frac
-        if frac < 1.0:
-            incomplete.append(NodeId(int(v)))
-
-    violations: List[Tuple[NodeId, NodeId]] = []
-    if t_ids.size and op_ids.size:
-        op_cols = np.flatnonzero(op_mask[t_ids])
-        if op_cols.size:
-            sub = known[np.ix_(op_ids, op_cols)]
-            rows, cols = np.nonzero(sub)
-            sus = t_ids[op_cols][cols]
-            order = np.lexsort((sus, op_ids[rows]))
-            violations = [
-                (NodeId(int(op_ids[rows[i]])), NodeId(int(sus[i])))
-                for i in order
-            ]
-
-    report = PropertyReport(
-        completeness=completeness,
-        accuracy_violations=tuple(violations),
-        incomplete_failures=tuple(incomplete),
-        operational_count=int(obs_ids.size),
-        crashed_count=int(crashed_ids.size),
-    )
-    operational = tuple(NodeId(int(n)) for n in op_ids)
-    crashed = tuple(NodeId(int(n)) for n in crashed_ids)
-    return report, operational, crashed
 
 
 def run_array_scenario(
@@ -263,7 +64,7 @@ def run_array_scenario(
     tracer: Optional[Tracer] = None,
     profiler: Optional[PhaseProfiler] = None,
     record_energy_journal: bool = False,
-) -> ArrayScenarioResult:
+) -> ScenarioResult:
     """Run one scenario through the round-level array engine.
 
     Accepts the same :class:`~repro.experiments.runner.ScenarioConfig`
@@ -360,10 +161,15 @@ def run_array_scenario(
         last_execution=last_exec,
     )
     crash_times = {e.node_id: e.time for e in faultload.events}
-    crash_exec = _crash_executions(
-        faultload, layout.node_count, config.executions,
-        config.fds.phi, fds_start,
+    # First 0-based execution each node is dead in; never-crashing nodes
+    # stay alive past the horizon.
+    crash_exec = np.full(
+        layout.node_count, config.executions + 1, dtype=np.int64
     )
+    for nid, k in crash_executions(
+        faultload, fds_start, config.fds.phi
+    ).items():
+        crash_exec[int(nid)] = k
 
     if tracer.enabled:
         tracer.record(
@@ -421,10 +227,15 @@ def run_array_scenario(
     horizon = fds_start + (config.executions - 1) * config.fds.phi
     horizon += 0.95 * config.fds.phi
 
+    # Observers are the operational clustered nodes; the oracle lattice
+    # clusters everyone, protocol layouts leave ``assign == PAD`` out.
     t0 = _time.perf_counter()
-    report, operational, crashed = _score_properties(
-        engine, crash_exec, config.executions,
-        clustered_mask=(layout.assign >= 0) if outcome is not None else None,
+    crashed = crash_exec <= config.executions
+    report = score_properties(
+        engine.known,
+        np.asarray(engine.t_ids, dtype=np.int64),
+        crashed,
+        ~crashed & (layout.assign >= 0),
     )
     if profiler is not None:
         profiler.add_seconds(PHASE_ARRAY_SCORE, _time.perf_counter() - t0)
@@ -450,20 +261,18 @@ def run_array_scenario(
                 calls=calls,
             )
 
-    return ArrayScenarioResult(
+    return ScenarioResult(
         config=config,
-        network=_ArrayNetworkFacade(horizon, operational, crashed),
-        layout=_ArrayLayoutFacade(
-            layout.cluster_count,
-            layout.node_count,
-            assign=layout.assign if outcome is not None else None,
-        ),
-        array_layout=layout,
+        fds=config.fds,
+        network=layout,
+        layout=layout,
         faultload=faultload,
+        crash_times=crash_times,
+        fds_start=fds_start,
+        horizon=horizon,
         properties=report,
         messages=messages,
         tracer=tracer,
-        crash_times=crash_times,
         energy=energy,
         formation=outcome,
     )

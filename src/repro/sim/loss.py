@@ -305,6 +305,31 @@ class CompositeLoss(LossModel):
 LOSS_KINDS = ("perfect", "bernoulli", "bounded", "distance", "gilbert")
 
 
+def sweep_loss_params(
+    kind: str, loss_p: float, loss_budget: int
+) -> Tuple[Tuple[str, float], ...]:
+    """The loss-model params of one point of a one-knob loss sweep.
+
+    ``loss_p`` is the Bernoulli/bounded drop probability (``loss_budget``
+    caps the bounded adversary).  For ``gilbert`` it scales the Good ->
+    Bad entry rate (``p_gb = loss_p / 5``), so the stationary loss rises
+    monotonically with it while bursts stay genuinely bursty
+    (``p_bad = 0.8``).  Other kinds take no parameters.
+    """
+    if kind == "bounded":
+        return (("p", loss_p), ("budget", float(loss_budget)))
+    if kind == "bernoulli":
+        return (("p", loss_p),)
+    if kind == "gilbert":
+        return (
+            ("p_good", 0.02),
+            ("p_bad", 0.8),
+            ("p_gb", loss_p / 5.0),
+            ("p_bg", 0.3),
+        )
+    return ()
+
+
 def build_loss_model(
     kind: str,
     params: Mapping[str, float] | Sequence[Tuple[str, float]] | None = None,

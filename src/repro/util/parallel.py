@@ -137,12 +137,6 @@ def observed_task_rate() -> Optional[float]:
     return _task_rate_ewma
 
 
-def reset_task_rate() -> None:
-    """Forget the throughput estimate (tests, workload changes)."""
-    global _task_rate_ewma
-    _task_rate_ewma = None
-
-
 def auto_chunksize(
     task_count: int,
     workers: int,

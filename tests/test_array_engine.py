@@ -34,6 +34,7 @@ from repro.audit.differential import (
 from repro.cluster.geometric import build_clusters
 from repro.errors import ExperimentError
 from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.rt.runtime import RtScenario, run_rt_scenario
 from repro.sim.array_engine import run_array_scenario
 from repro.sim.array_engine.layout import PAD, build_array_layout
 from repro.topology.generators import multi_cluster_field
@@ -144,6 +145,20 @@ def test_lossless_runs_are_verdict_identical(seed):
     assert event.summary()["mean_detection_latency"] == (
         array.summary()["mean_detection_latency"]
     )
+    # The same spec over real UDP returns the same result type: one
+    # summary key set on every engine, and the same field shape.
+    rt = run_rt_scenario(RtScenario(
+        seed=seed,
+        cluster_count=config.cluster_count,
+        members_per_cluster=config.members_per_cluster,
+        crash_count=config.crash_count,
+        executions=config.executions,
+        spacing_factor=config.spacing_factor,
+    ))
+    summaries = [r.summary() for r in (event, array, rt)]
+    assert set(summaries[0]) == set(summaries[1]) == set(summaries[2])
+    for key in ("nodes", "clusters", "crashes"):
+        assert summaries[0][key] == summaries[1][key] == summaries[2][key]
 
 
 def test_perfect_loss_kind_is_verdict_identical():
@@ -234,7 +249,8 @@ def test_whole_cluster_crashed():
     assert verdict_records(event.tracer) == verdict_records(array.tracer)
     assert event.properties.completeness == array.properties.completeness
     assert array.properties.mean_completeness < 1.0
-    assert set(array.network.operational_ids()) == {0, 1, 2}
+    operational = set(range(len(array.network))) - set(array.crash_times)
+    assert operational == {0, 1, 2}
 
 
 def test_distance_loss_runs():
@@ -402,7 +418,7 @@ def test_array_energy_counts_mirror_message_accounting():
     assert totals["rx_total"] == float(result.messages.deliveries)
     assert result.energy.spread() > 0.0  # heads outspend members
     # The scoring surface behaves like the scalar model's.
-    frac = result.energy.remaining_fraction(0, result.network.sim.now)
+    frac = result.energy.remaining_fraction(0, result.horizon)
     assert 0.0 <= frac <= 1.0
 
 
@@ -490,7 +506,7 @@ def test_fds_rounds_with_nonidentity_heads_match_event():
     )
     from repro.sim.array_engine.loss import ArrayLossDraw
     from repro.sim.array_engine.rounds import ArrayRoundEngine
-    from repro.sim.array_engine.runner import _crash_executions
+    from repro.failure.faultload import crash_executions
     from repro.sim.loss import build_loss_model
     from repro.sim.network import NetworkConfig, build_network
     from repro.sim.trace import RecordingTracer
@@ -538,9 +554,9 @@ def test_fds_rounds_with_nonidentity_heads_match_event():
     deployment.run_executions(executions)
 
     array_tracer = RecordingTracer()
-    crash_exec = _crash_executions(
-        faultload, outcome.node_count, executions, fds.phi, 0.0
-    )
+    crash_exec = np.full(outcome.node_count, executions + 1, dtype=np.int64)
+    for nid, k in crash_executions(faultload, 0.0, fds.phi).items():
+        crash_exec[int(nid)] = k
     engine = ArrayRoundEngine(
         array_layout, fds,
         ArrayLossDraw(

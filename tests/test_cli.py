@@ -59,6 +59,16 @@ class TestCli:
 
         assert comparable(outs[0]) == comparable(outs[1])
 
+    def test_scenario_without_crashes_reports_unknown_latency(self, capsys):
+        for engine in ("event", "array"):
+            assert main([
+                "scenario", "--engine", engine, "--clusters", "2",
+                "--members", "8", "--executions", "3", "--crashes", "0",
+            ]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            [line] = [l for l in lines if "mean_detection_latency" in l]
+            assert line.split() == ["mean_detection_latency", "unknown"]
+
     def test_reachability(self, capsys):
         assert main(["reachability", "--p", "0.1"]) == 0
         out = capsys.readouterr().out
@@ -105,6 +115,30 @@ class TestTraceCli:
         text = metrics.read_text(encoding="utf-8")
         assert "# TYPE repro_detection_latency_phi histogram" in text
         assert 'repro_detection_latency_phi_bucket{le="+Inf"}' in text
+
+    def test_spooled_scenario_latency_comes_from_the_spool(
+        self, tmp_path, capsys
+    ):
+        """``--trace-out`` keeps no records in memory; the summary's mean
+        latency is read back from the spool and equals ``repro trace
+        latency``'s mean times phi."""
+        import json as json_mod
+
+        path = tmp_path / "run.jsonl.gz"
+        assert main([
+            "scenario", "--clusters", "3", "--members", "12",
+            "--executions", "4", "--crashes", "2", "--seed", "3",
+            "--trace-out", str(path),
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        [line] = [l for l in lines if "mean_detection_latency" in l]
+        assert main(["trace", "latency", str(path), "--json"]) == 0
+        payload = json_mod.loads(capsys.readouterr().out)
+        phis = [row["latency_phi"] for row in payload["crashes"]]
+        assert phis and None not in phis
+        mean = sum(phis) / len(phis) * payload["meta"]["phi"]
+        assert line.split() == ["mean_detection_latency", f"{mean:.6g}"]
+        assert mean == pytest.approx(13.0)
 
     def test_latency(self, spool, capsys):
         assert main(["trace", "latency", str(spool)]) == 0

@@ -1,5 +1,7 @@
 """Tests for the experiment harness: figures, claims, runner, validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.false_detection import p_false_detection
@@ -18,6 +20,7 @@ from repro.experiments.scenarios import (
     single_cluster_validation,
     validation_summary,
 )
+from repro.sim.trace import NullTracer
 
 
 class TestFigures:
@@ -75,6 +78,22 @@ class TestScenarioRunner:
         assert summary["clusters"] >= 2.0
         assert 0.05 < summary["observed_loss_rate"] < 0.15
         assert summary["mean_detection_latency"] > 0
+
+    @pytest.mark.parametrize("engine", ["event", "array"])
+    def test_unknown_detection_latency_is_never_zero(self, engine):
+        """A run that kept no detection records, or had no crash to
+        detect, leaves the mean latency out instead of reporting 0."""
+        config = ScenarioConfig(
+            cluster_count=3, members_per_cluster=12, crash_count=2,
+            executions=4, seed=3, engine=engine,
+        )
+        assert run_scenario(config).summary()["mean_detection_latency"] == 13.0
+        blind = run_scenario(config, tracer=NullTracer())
+        assert set(blind.detection_latencies) == set(blind.crash_times)
+        assert all(v is None for v in blind.detection_latencies.values())
+        assert "mean_detection_latency" not in blind.summary()
+        calm = run_scenario(replace(config, crash_count=0))
+        assert "mean_detection_latency" not in calm.summary()
 
     def test_protocol_formation_scenario(self):
         config = ScenarioConfig(

@@ -6,12 +6,9 @@ from repro.errors import AnalysisError
 from repro.failure.injection import FailureInjector
 from repro.fds.reports import ReportHistory
 from repro.metrics.collectors import collect_message_counts, energy_summary
-from repro.metrics.properties import (
-    detection_latency,
-    evaluate_histories,
-    evaluate_properties,
-)
+from repro.metrics.properties import evaluate_histories, evaluate_properties
 from repro.metrics.summary import summarize
+from repro.obs.analyze import detection_latency, first_detections
 from repro.topology.placement import cluster_disk_placement
 
 from tests.fds_helpers import deploy
@@ -46,14 +43,18 @@ class TestPropertyReport:
         victim = sorted(layout.clusters[0].ordinary_members)[0]
         event = injector.crash_before_execution(victim, execution=1)
         deployment.run_executions(2)
-        latencies = detection_latency(tracer, {victim: event.time})
+        latencies = detection_latency(
+            first_detections(tracer.records), {victim: event.time}
+        )
         assert latencies[victim] is not None
         assert 0 < latencies[victim] < deployment.config.phi
 
     def test_latency_none_when_never_detected(self, rng):
         placement = cluster_disk_placement(10, 100.0, rng)
         _deployment, _layout, tracer, _network = deploy(placement)
-        assert detection_latency(tracer, {5: 1.0}) == {5: None}
+        assert detection_latency(
+            first_detections(tracer.records), {5: 1.0}
+        ) == {5: None}
 
 
 class TestEvaluateHistories:

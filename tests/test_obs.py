@@ -352,12 +352,16 @@ class TestTraceAnalysis:
         assert "repro_detection_latency_phi" in payload["histograms"]
 
     def test_detection_latency_graceful_without_records(self, scenario_spool):
-        # With a spooling tracer the in-memory latency view degrades to
-        # all-None (the spool is the authority), never a crash.
-        _path, _config, result = scenario_spool
+        # With a spooling tracer nothing is held in memory: the latency
+        # view reads the closed spool, never a crash and never a guess.
+        path, config, result = scenario_spool
         latencies = result.detection_latencies
         assert set(latencies) == set(result.crash_times)
-        assert all(v is None for v in latencies.values())
+        from_spool = summarize(iter_spool(path)).detection_latencies_phi()
+        assert latencies == {
+            nid: (None if v is None else v * config.fds.phi)
+            for nid, v in from_spool.items()
+        }
 
     def test_profile_and_meta_records_in_spool(self, scenario_spool):
         path, _config, _result = scenario_spool

@@ -57,7 +57,7 @@ def test_both_substrates_satisfy_the_protocols(small_run):
     from repro.sim.node import SimNode
     from repro.util.geometry import Vec2
 
-    rt_node = next(iter(small_run.nodes.values()))
+    rt_node = next(iter(small_run.network.values()))
     assert isinstance(rt_node, Substrate)
     assert isinstance(rt_node.timers, TimerScheduler)
     assert isinstance(rt_node.timers.create(lambda: None), TimerHandle)
@@ -75,15 +75,15 @@ def test_both_substrates_satisfy_the_protocols(small_run):
 def test_rt_run_detects_the_injected_crash(small_run):
     result = small_run
     # Each cluster is members_per_cluster members plus its head.
-    assert len(result.nodes) == 2 * (SMALL.members_per_cluster + 1)
+    assert len(result.network) == 2 * (SMALL.members_per_cluster + 1)
     assert len(result.crash_times) == 1
     [(victim, crashed_at)] = result.crash_times.items()
-    assert not result.nodes[victim].is_operational
+    assert not result.network[victim].is_operational
     latency = result.detection_latencies[victim]
     assert latency is not None
     # Loss-independent anchor: 0.4 phi + 2 thop, in wall seconds, with
     # a generous band for scheduler jitter.
-    phi, thop = result.config.phi, result.config.thop
+    phi, thop = result.fds.phi, result.fds.thop
     anchor = 0.4 * phi + 2 * thop
     assert latency == pytest.approx(anchor, abs=0.3 * phi)
     assert result.codec_errors == 0
@@ -91,8 +91,8 @@ def test_rt_run_detects_the_injected_crash(small_run):
 
 
 def test_rt_messages_really_crossed_sockets(small_run):
-    sent = sum(n.sent_count for n in small_run.nodes.values())
-    received = sum(n.received_count for n in small_run.nodes.values())
+    sent = sum(n.sent_count for n in small_run.network.values())
+    received = sum(n.received_count for n in small_run.network.values())
     assert sent > 0
     assert received > sent  # broadcast fan-out multiplies deliveries
     assert small_run.tracer.count("radio.tx") == sent
@@ -108,7 +108,7 @@ def test_rt_crashed_node_is_silent_after_the_kill(small_run):
 def test_rt_crash_twice_raises(small_run):
     [(victim, _)] = small_run.crash_times.items()
     with pytest.raises(NodeStateError):
-        small_run.nodes[victim].crash()
+        small_run.network[victim].crash()
 
 
 def test_rt_meta_record_carries_wall_timebase(small_run):
@@ -136,7 +136,7 @@ def test_spooled_run_merges_into_one_analyzable_trace(spooled_run):
     result, spool_dir = spooled_run
     files = spool_files(spool_dir)
     # One spool per node plus the run spool, all non-empty.
-    assert len(files) == len(result.nodes) + 1
+    assert len(files) == len(result.network) + 1
     assert result.merged_spool is not None
     merged = read_spool(result.merged_spool)
     assert merged
@@ -152,11 +152,10 @@ def test_spooled_run_merges_into_one_analyzable_trace(spooled_run):
     [(victim, _)] = result.crash_times.items()
     latencies = summary.detection_latencies_phi()
     assert latencies[int(victim)] == pytest.approx(0.525, abs=0.3)
-    # The disk path agrees with the in-memory result object (small slack:
-    # the result anchors on the *scheduled* crash time, the trace on the
-    # instant the kill callback actually ran).
+    # The disk path agrees with the result object, both anchored on the
+    # instant the kill callback actually ran.
     assert result.detection_latencies[victim] == pytest.approx(
-        latencies[int(victim)] * result.config.phi, abs=0.05 * result.config.phi
+        latencies[int(victim)] * result.fds.phi, abs=0.05 * result.fds.phi
     )
 
 
@@ -305,3 +304,43 @@ def test_realnet_repro_snippet_is_valid_python():
     compile(snippet, "<repro>", "exec")
     assert f"seed={spec.seed}" in snippet
     assert "check_realnet" in snippet
+
+
+# ----------------------------------------------------------------------
+# One latency reduction: the run table and the spool agree exactly
+# ----------------------------------------------------------------------
+def _table_rows(out: str):
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("----"))
+    rows = []
+    for line in lines[start + 1:]:
+        if not line.strip() or line.startswith(" "):
+            break
+        rows.append(line.split())
+    return rows
+
+
+def test_rt_run_table_matches_trace_latency(tmp_path, capsys):
+    """``repro rt run`` anchors latency on the executed crash instant,
+    which is what the merged spool's ``sim.crash`` records carry, so the
+    run's table and ``repro trace latency`` print the same numbers."""
+    from repro.__main__ import main
+
+    # The exit code reflects accuracy, which wall-clock jitter on a
+    # loaded host can break; only the two latency views are compared.
+    spool_dir = tmp_path / "spools"
+    main([
+        "rt", "run", "--clusters", "2", "--members", "10", "--crashes", "2",
+        "--executions", "4", "--seed", "3", "--spool-dir", str(spool_dir),
+    ])
+    run_out = capsys.readouterr().out
+    assert "nodes                      22" in run_out
+    assert main(["trace", "latency", str(spool_dir / "merged.jsonl")]) == 0
+    trace_out = capsys.readouterr().out
+
+    # node, crashed_at, latency (phi) -- columns 0, 1 and 3 of both.
+    run_rows = [(r[0], r[1], r[3]) for r in _table_rows(run_out)]
+    trace_rows = [(r[0], r[1], r[3]) for r in _table_rows(trace_out)]
+    assert len(run_rows) == 2
+    assert all(latency != "-" for _node, _at, latency in run_rows)
+    assert run_rows == trace_rows
