@@ -186,7 +186,8 @@ def _fill_adjacency(
     if m == 0:
         return np.zeros((c, m, m), dtype=np.float32) if keep_dist else None
     dist = np.zeros((c, m, m), dtype=np.float32) if keep_dist else None
-    chunk = max(1, int(8_000_000 // max(1, m * m)))
+    # About 1M pairs per chunk: each float64 temporary stays near 8 MB.
+    chunk = max(1, int(1_000_000 // max(1, m * m)))
     r2 = radius * radius
     di = np.arange(m)
     for lo in range(0, c, chunk):

@@ -43,10 +43,20 @@ Gilbert chain contract (engine-private, like the draw order itself):
 - only active copies advance their chain or consume the stream,
   mirroring the event medium where absent links and crashed senders
   produce no transmissions;
-- attempt ladders (:meth:`ArrayLossDraw.delivered` with ``chain``/
-  ``at``) advance one link's chain sequentially, once per attempt --
+- attempt ladders (:meth:`ArrayLossDraw.ladder`, the one ladder
+  primitive) advance one link's chain sequentially, once per attempt --
   retries on a bursty link are correlated, which is the entire point of
   the model.
+
+Small-draw primitives, for callers that draw many tiny batches (the
+inter-cluster fixpoint): :meth:`ArrayLossDraw.ladder` (``attempts``
+sequential copies on one link; returns the delivered count) and
+:meth:`ArrayLossDraw.broadcast` (one copy per listed link; returns the
+delivered mask) take per-copy loss probabilities precomputed by
+:meth:`ArrayLossDraw.link_loss`.  ``broadcast`` consumes the stream,
+the bounded budget and the chains exactly as :meth:`draw_into` over
+the same active links; for the stateless kinds, ``ladder(n, p, ...)``
+consumes them exactly as ``delivered(n, distances=np.full(n, d))``.
 
 All chains start in the Good state, like the scalar model's fresh
 per-link dictionary.
@@ -165,78 +175,137 @@ class ArrayLossDraw:
         return new_states, lost
 
     # ------------------------------------------------------------------
-    def delivered(
-        self,
-        count: int,
-        distances: Optional[np.ndarray] = None,
-        chain: Optional[str] = None,
-        at=None,
-    ) -> np.ndarray:
-        """A delivered mask for ``count`` copies (True = arrives).
+    def link_loss(self, distances: np.ndarray) -> np.ndarray:
+        """Per-copy loss probability of copies sent over ``distances``.
 
-        For ``gilbert`` the ``count`` copies are *sequential attempts on
-        one directed link* -- ``chain``/``at`` name its state cell, and
-        the chain advances once per attempt.
+        ``distance`` maps each distance through its falloff; the other
+        kinds give a read-only broadcast of their constant ``p`` (0 for
+        ``perfect``; ``gilbert`` loss depends on chain state, not
+        distance, so :meth:`ladder`/:meth:`broadcast` ignore its zeros).
         """
-        if count <= 0:
-            return np.zeros(0, dtype=bool)
-        self.attempted += count
-        if self.kind == "perfect":
-            self.delivered_count += count
-            return np.ones(count, dtype=bool)
-        if self.kind == "gilbert":
-            state = self._chain_view(chain, at, ())
-            cell = at if at is not None else ()
-            s = np.asarray([state[cell]])
-            out = np.empty(count, dtype=bool)
-            for i in range(count):
-                s, lost = self._gilbert_flat(1, s)
-                out[i] = not lost[0]
-            state[cell] = bool(s[0])
-            self.delivered_count += int(out.sum())
-            return out
+        distances = np.asarray(distances, dtype=np.float64)
         if self.kind == "distance":
-            if distances is None:
-                raise ExperimentError(
-                    "distance loss draws require per-copy distances"
-                )
-            frac = np.clip(
-                np.asarray(distances, dtype=np.float64)
-                / self.transmission_range,
-                0.0,
-                1.0,
-            )
-            p = np.clip(
+            frac = np.clip(distances / self.transmission_range, 0.0, 1.0)
+            return np.clip(
                 self.p_near + (self.p_far - self.p_near) * frac ** self.exponent,
                 0.0,
                 1.0,
             )
-            out = self.rng.random(count) >= p
-            self.delivered_count += int(out.sum())
-            return out
-        # bernoulli / bounded share the p in {0, 1} shortcut discipline.
-        if self.p == 0.0:
-            self.delivered_count += count
-            return np.ones(count, dtype=bool)
-        if self.kind == "bounded" and self.budget_left <= 0:
-            self.delivered_count += count
-            return np.ones(count, dtype=bool)
-        if self.p == 1.0:
-            lost = np.ones(count, dtype=bool)
+        p = self.p if self.kind in ("bernoulli", "bounded") else 0.0
+        return np.broadcast_to(p, distances.shape)
+
+    def _bounded_spend(self, lost: int) -> int:
+        """Drops the bounded adversary can still afford out of ``lost``."""
+        spent = min(lost, self.budget_left)
+        self.budget_left -= spent
+        return spent
+
+    def ladder(self, attempts: int, p: float, chain: str, at) -> int:
+        """Copies delivered among ``attempts`` sequential sends on one link.
+
+        ``p`` is the link's per-copy loss probability from
+        :meth:`link_loss`; ``chain``/``at`` name its gilbert cell, which
+        advances once per attempt (transition, then loss, two uniforms
+        each).  One read of the stream, no per-attempt arrays.
+        """
+        kind = self.kind
+        self.attempted += attempts
+        if kind == "perfect":
+            ok = attempts
+        elif kind == "gilbert":
+            state = self._chain_view(chain, at, ())
+            bad = bool(state[at])
+            ok = 0
+            u = self.rng.random(2 * attempts).tolist()
+            for i in range(0, 2 * attempts, 2):
+                if u[i] < (self.p_bg if bad else self.p_gb):
+                    bad = not bad
+                if u[i + 1] >= (self.p_bad if bad else self.p_good):
+                    ok += 1
+            state[at] = bad
+        elif kind == "distance":
+            ok = 0
+            for u in self.rng.random(attempts).tolist():
+                if u >= p:
+                    ok += 1
+        elif self.p == 0.0 or (kind == "bounded" and self.budget_left <= 0):
+            ok = attempts
         else:
-            lost = self.rng.random(count) < self.p
-        if self.kind == "bounded":
+            p = self.p
+            lost = attempts
+            if p != 1.0:
+                lost = 0
+                for u in self.rng.random(attempts).tolist():
+                    if u < p:
+                        lost += 1
+            if kind == "bounded":
+                lost = self._bounded_spend(lost)
+            ok = attempts - lost
+        self.delivered_count += ok
+        return ok
+
+    def broadcast(
+        self, p: np.ndarray, chain: Optional[str] = None, at=None
+    ) -> np.ndarray:
+        """Delivered mask for one copy per link, ``len(p)`` links.
+
+        ``p`` holds the per-copy loss probabilities from
+        :meth:`link_loss`; for ``gilbert``, ``chain``/``at`` gather the
+        links' cells (advanced once each, then scattered back).  Same
+        stream, budget and chain consumption as :meth:`draw_into` over
+        the same active links.
+        """
+        count = int(p.size)
+        if count == 0:
+            return np.zeros(0, dtype=bool)
+        self.attempted += count
+        kind = self.kind
+        if kind == "perfect":
+            out = np.ones(count, dtype=bool)
+        elif kind == "gilbert":
+            state = self._chain_view(chain, at, ())
+            new_states, lost = self._gilbert_flat(count, state[at])
+            state[at] = new_states
+            out = ~lost
+        elif kind == "distance":
+            out = self.rng.random(count) >= p
+        elif self.p == 0.0 or (kind == "bounded" and self.budget_left <= 0):
+            out = np.ones(count, dtype=bool)
+        elif self.p == 1.0:
+            out = np.zeros(count, dtype=bool)
+        else:
+            out = self.rng.random(count) >= self.p
+        if kind == "bounded" and self.p != 0.0:
             # Spend the budget in flat draw order; later losses revert
             # to deliveries once the adversary is out of drops.
-            idx = np.flatnonzero(lost)
-            if idx.size > self.budget_left:
-                lost[idx[self.budget_left:]] = False
-                self.budget_left = 0
-            else:
-                self.budget_left -= int(idx.size)
-        out = ~lost
-        self.delivered_count += int(out.sum())
+            idx = np.flatnonzero(~out)
+            out[idx[self._bounded_spend(int(idx.size)):]] = True
+        self.delivered_count += int(np.count_nonzero(out))
         return out
+
+    def delivered(
+        self, count: int, distances: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """A delivered mask for ``count`` independent copies (True = arrives).
+
+        Stateless kinds only: ``gilbert`` copies ride a link's chain, so
+        they go through :meth:`draw_into`, :meth:`broadcast` or
+        :meth:`ladder`.
+        """
+        if self.kind == "gilbert":
+            raise ExperimentError(
+                "gilbert draws need a chain cell: use draw_into, broadcast "
+                "or ladder (engine bug)"
+            )
+        if count <= 0:
+            return np.zeros(0, dtype=bool)
+        if self.kind != "distance":
+            distances = np.broadcast_to(0.0, (count,))
+        elif distances is None:
+            raise ExperimentError(
+                "distance loss draws require per-copy distances"
+            )
+        return self.broadcast(self.link_loss(distances))
 
     def draw_into(
         self,

@@ -20,7 +20,16 @@ ArrayLayout`:
    takeovers/reverts;
 6. run inter-cluster forwarding to a fixpoint over the boundary graph,
    with a report-attempt ladder per crossing and relay broadcasts into
-   receiving clusters.
+   receiving clusters.  The fixpoint runs in waves: each fixes at its
+   start which channels have news (gateway or source-CH knowledge the
+   destination CH lacks), then tries them in channel order.  A wave
+   re-tests only the channels active in the previous one and those
+   whose source head or gateway gained knowledge since; destination
+   knowledge only grows, so no other channel can turn active.
+   Knowledge inside the fixpoint is bit-packed over the tracked
+   targets (any count), so a news test is an integer AND-NOT, and one
+   execution costs O(channel tests + crossings) instead of a full
+   rescan of every channel, gateway and target per wave.
 
 Semantics tracked exactly (verified by the differential tests): crash
 detection events (execution, detector, time), detection latency,
@@ -39,15 +48,16 @@ from the seed): per execution, in this fixed sequence -- ``hb_mc``,
 ``hb_cm``, ``hb_mm``, then with digests on ``dg_mc``, ``dg_cm``; the
 R-3 update ``upd_direct``; the peer-recovery ladder (per attempt: one
 request draw, one forward draw); the DCH witness draws ``dg_md`` per
-deputy rank; finally the inter-cluster fixpoint (channels in lexsorted
-(src, dst) order; per gateway rank: the overhear ladder for inbound
-channels, the report-attempt ladder, the relay broadcast).  Gilbert
-chain families follow the same sites: ``mc`` carries heartbeat, digest
-and peer-request copies member -> own CH; ``cm`` carries CH broadcasts
-(heartbeat, digest, update, peer forward, relay) toward each member;
-``mm`` the member-pair copies (clustermate heartbeats and the DCH's
-deputy-row witness draws); ``over``/``rep`` the per-channel gateway
-ladders.
+deputy rank; finally the inter-cluster fixpoint (per wave, its active
+channels in lexsorted (src, dst) order; per gateway rank: the overhear
+ladder for inbound channels, the report-attempt ladder, the relay
+broadcast; a channel an earlier crossing of the wave already covered
+draws nothing).  Gilbert chain families follow the same sites: ``mc``
+carries heartbeat, digest and peer-request copies member -> own CH;
+``cm`` carries CH broadcasts (heartbeat, digest, update, peer forward,
+relay) toward each member; ``mm`` the member-pair copies (clustermate
+heartbeats and the DCH's deputy-row witness draws); ``over``/``rep``
+the per-channel gateway ladders.
 
 Energy (``track_energy``): an optional
 :class:`~repro.sim.array_engine.energy.ArrayEnergyLedger` charges every
@@ -90,6 +100,10 @@ from repro.sim.array_engine.energy import ArrayEnergyLedger
 from repro.sim.array_engine.layout import PAD, ArrayLayout
 from repro.sim.array_engine.loss import ArrayLossDraw
 from repro.sim.trace import Tracer
+
+#: Relay receptions buffered before the fixpoint folds them into
+#: ``known`` (bounds the fold's scratch memory).
+_RELAY_BATCH = 1 << 16
 
 
 class ArrayRoundEngine:
@@ -214,6 +228,7 @@ class ArrayRoundEngine:
         # their gilbert families (no-op for stateless loss kinds).
         self.loss.ensure_chain("over", self.ch_overhear_dist.shape)
         self.loss.ensure_chain("rep", self.ch_report_dist.shape)
+        self._build_forwarding_index()
 
         #: Post-R-3 energy accumulation buffers (filled by the recovery,
         #: DCH and intercluster phases, flushed at ``t_r3end``).
@@ -236,35 +251,30 @@ class ArrayRoundEngine:
     # ------------------------------------------------------------------
     # Target bookkeeping
     # ------------------------------------------------------------------
-    def _col(self, node_id: int) -> int:
-        """The (lazily created) knowledge column of a target NID."""
-        col = self.t_col.get(node_id)
-        if col is not None:
-            return col
-        col = len(self.t_ids)
-        self.t_col[node_id] = col
-        self.t_ids.append(node_id)
-        cluster = int(self.layout.assign[node_id])
-        if cluster == PAD:
-            raise ValueError(
-                f"node {node_id} is unclustered and cannot be a failure "
-                "target (no authority observes it)"
-            )
-        self.t_cluster.append(cluster)
-        if self._is_head[node_id]:
-            self.t_slot.append(PAD)
-        else:
-            row = self.layout.members[cluster]
-            self.t_slot.append(int(np.flatnonzero(row == node_id)[0]))
-        self.known = np.concatenate(
-            [self.known, np.zeros((self.layout.node_count, 1), dtype=bool)],
-            axis=1,
-        )
-        return col
-
     def ensure_targets(self, node_ids) -> None:
-        for nid in node_ids:
-            self._col(int(nid))
+        """Give each new target NID a knowledge column, in order, growing
+        ``known`` once for all of them."""
+        before = self.T
+        for nid in map(int, node_ids):
+            if nid in self.t_col:
+                continue
+            cluster = int(self.layout.assign[nid])
+            if cluster == PAD:
+                raise ValueError(
+                    f"node {nid} is unclustered and cannot be a failure "
+                    "target (no authority observes it)"
+                )
+            self.t_col[nid] = len(self.t_ids)
+            self.t_ids.append(nid)
+            self.t_cluster.append(cluster)
+            if self._is_head[nid]:
+                self.t_slot.append(PAD)
+            else:
+                row = self.layout.members[cluster]
+                self.t_slot.append(int(np.flatnonzero(row == nid)[0]))
+        if self.T > before:
+            grow = np.zeros((self.layout.node_count, self.T - before), bool)
+            self.known = np.concatenate([self.known, grow], axis=1)
 
     @property
     def T(self) -> int:
@@ -514,17 +524,19 @@ class ArrayRoundEngine:
     def _record_detections(
         self, e: int, t_r3: float, newly: np.ndarray
     ) -> None:
-        for c, s in zip(*np.nonzero(newly)):
+        cs, ss = np.nonzero(newly)
+        self.ensure_targets(self.layout.members[cs, ss])
+        if self._refuted_this_exec.shape[1] < self.T:
+            grow = np.zeros(
+                (self.C, self.T - self._refuted_this_exec.shape[1]),
+                dtype=bool,
+            )
+            self._refuted_this_exec = np.concatenate(
+                [self._refuted_this_exec, grow], axis=1
+            )
+        for c, s in zip(cs, ss):
             nid = int(self.layout.members[c, s])
-            col = self._col(nid)
-            if self._refuted_this_exec.shape[1] < self.T:
-                grow = np.zeros(
-                    (self.C, self.T - self._refuted_this_exec.shape[1]),
-                    dtype=bool,
-                )
-                self._refuted_this_exec = np.concatenate(
-                    [self._refuted_this_exec, grow], axis=1
-                )
+            col = self.t_col[nid]
             head = int(self.head_ids[c])
             self.suspected[c, s] = True
             self.known[head, col] = True
@@ -673,11 +685,14 @@ class ArrayRoundEngine:
                 hb_at_dep, dg_at_dep, witness_head, use_digests=use_digests
             )
             upd_at_dep = upd_direct[rows, safe_slot]
-            fires = acting & ch_failure_rule_mask(ch_evidence, upd_at_dep)
-            for c in np.flatnonzero(fires):
+            fires = np.flatnonzero(
+                acting & ch_failure_rule_mask(ch_evidence, upd_at_dep)
+            )
+            self.ensure_targets(self.head_ids[fires])
+            for c in fires:
                 deputy = int(dep[c])
                 head = int(self.head_ids[c])
-                col = self._col(head)
+                col = self.t_col[head]
                 if self.known[deputy, col]:
                     continue  # already suspects the head
                 self.known[deputy, col] = True
@@ -692,6 +707,43 @@ class ArrayRoundEngine:
                 )
 
     # ------------------------------------------------------------------
+    def _build_forwarding_index(self) -> None:
+        """Static tables of the inter-cluster fixpoint, built once.
+
+        A *key* is a node whose knowledge a channel forwards: the source
+        CH of an inbound channel, the ranked gateways of an outbound
+        one.  Keys are every head, then every gateway; ``_key_nids``
+        maps key -> NID.  Per channel and rank: ``_feed_key`` (2B, G),
+        the key the rank forwards from, and the overhear/report loss
+        probabilities ``_over_p``/``_rep_p``.  The CSR
+        ``_feeds_ptr``/``_feeds`` lists the channels each key feeds.
+        """
+        ok = self.ch_gw_ok
+        self._key_nids = np.concatenate(
+            [self.head_ids, np.unique(self.ch_gw_ids[ok])]
+        )
+        key_of = np.full(self.layout.node_count, -1, dtype=np.int32)
+        key_of[self._key_nids] = np.arange(self._key_nids.size)
+        self._key_of = key_of
+        feed_key = np.where(
+            self.ch_inbound[:, None],
+            key_of[self.ch_src_nid][:, None],
+            key_of[np.where(ok, self.ch_gw_ids, 0)],
+        )
+        self._feed_key = np.where(ok, feed_key, 0)
+        self._dst_key = key_of[self.ch_dst_nid]
+        self._over_p = self.loss.link_loss(self.ch_overhear_dist)
+        self._rep_p = self.loss.link_loss(self.ch_report_dist)
+        # One (key, channel) pair per feed, sorted by key; the ranks of
+        # an inbound channel all name its source head, hence unique.
+        n_ch = max(1, ok.shape[0])
+        chans = np.broadcast_to(np.arange(ok.shape[0])[:, None], ok.shape)
+        pairs = np.unique(self._feed_key[ok].astype(np.int64) * n_ch + chans[ok])
+        self._feeds = pairs % n_ch
+        self._feeds_ptr = np.searchsorted(
+            pairs // n_ch, np.arange(self._key_nids.size + 1)
+        )
+
     def _intercluster(
         self, alive: np.ndarray, alive_m: np.ndarray, hd: np.ndarray
     ) -> None:
@@ -708,91 +760,216 @@ class ArrayRoundEngine:
         destination cluster immediately (the event engine's
         same-execution forwarding cascade), so one fixpoint pass per
         propagation wave reaches the whole field under perfect links.
+
+        Waves: at its start a wave fixes, per channel, the ranks whose
+        gateway is alive and has news (source knowledge AND-NOT the
+        destination CH's); it then tries its active channels in
+        lexsorted order against the knowledge as it now stands, and a
+        channel whose news an earlier crossing of the wave already
+        delivered stops without drawing.  Waves repeat until none is
+        active or none crosses.  A wave re-tests only the channels
+        active in the previous one and those fed by a key (head or
+        gateway) that gained knowledge during it: destination knowledge
+        only grows, so no other channel can have turned active.
+
+        Knowledge is bit-packed over the T targets (bit ``t`` = column
+        ``t``, any T): one Python int per key for the crossing logic,
+        mirrored into little-endian uint64 words for the vectorized
+        wave-start test.  Head rows are written back at the end;
+        relays are folded into ``known`` in batches.  One execution
+        costs O(channel tests + crossings), not O(waves x channels x
+        gateways x T), and each ladder is one
+        :meth:`ArrayLossDraw.ladder` call with no per-attempt arrays.
+        Crossings, draws (order included), counters and energy charges
+        are unchanged: see the draw-order contract in the module
+        docstring.
         """
         if not self.T:
             return
-        fds, layout, loss = self.fds, self.layout, self.loss
+        fds, loss = self.fds, self.loss
         attempts = (fds.max_forward_retries + 1) if fds.implicit_ack else 1
+        ladder, broadcast = loss.ladder, loss.broadcast
+        words = (self.T + 63) // 64
+        packed = np.zeros((self._key_nids.size, 8 * words), dtype=np.uint8)
+        packed[:, : (self.T + 7) // 8] = np.packbits(
+            self.known[self._key_nids], axis=1, bitorder="little"
+        )
+        key_words = packed.view("<u8")  # (keys, words), for wave starts
+        pk = [int.from_bytes(row, "little") for row in packed]  # per key
         ok = self.ch_gw_ok
-        safe_gw = np.where(ok, self.ch_gw_ids, 0)
-        alive_gw = ok & alive[safe_gw]
+        alive_gw = ok & alive[np.where(ok, self.ch_gw_ids, 0)]
+        ranks = range(ok.shape[1])
+        rank_bits = 1 << np.arange(ok.shape[1], dtype=np.int64)
+        dst_key = self._dst_key.tolist()
+        gw_ids, over_p, rep_p = self.ch_gw_ids, self._over_p, self._rep_p
+        inbound = self.ch_inbound.tolist()
+        dst_cluster = self.ch_dst.tolist()
+        dst_nid = self.ch_dst_nid.tolist()
+        charge = self._e_tx is not None
+        tx_ids: List[int] = []
+        tx_n: List[int] = []
+        rx_ids: List[int] = []
+        rx_n: List[int] = []
+        (aud_ptr, aud_slot, aud_nid, aud_p,
+         gw_ptr, gw_pos, gw_key) = self._relay_audience(alive_m, hd)
+        learned = np.zeros((self.layout.node_count, words), dtype="<u8")
+        relayed: List[np.ndarray] = []
+        relayed_news: List[int] = []
+        pending = 0
+        transmissions = reports = bgw = 0
+
+        candidates = np.arange(ok.shape[0])
         guard = 0
         while guard <= self.C + 2:
             guard += 1
-            dst_known = self.known[self.ch_dst_nid]  # (2B, T)
-            gw_known = self.known[safe_gw]  # (2B, G, T)
-            out_has = (gw_known & ~dst_known[:, None, :]).any(axis=2)
-            in_has = (self.known[self.ch_src_nid] & ~dst_known).any(axis=1)
-            has = np.where(self.ch_inbound[:, None], in_has[:, None], out_has)
-            has &= alive_gw
-            active = np.flatnonzero(has.any(axis=1))
-            if active.size == 0:
+            fresh = ~key_words[self._dst_key[candidates]]
+            has = alive_gw[candidates] & (
+                key_words[self._feed_key[candidates]] & fresh[:, None, :]
+            ).any(axis=2)
+            lit = has.any(axis=1)
+            active = candidates[lit]
+            if not active.size:
                 break
+            changed = set()  # keys that gained knowledge this wave
             progressed = False
-            for b in active:
-                if self._cross_channel(int(b), has[b], alive_m, hd, attempts):
+            masks = (has[lit] @ rank_bits).tolist()
+            sources = self._feed_key[active].tolist()
+            for b, mask, source in zip(active.tolist(), masks, sources):
+                dk = dst_key[b]
+                for g in ranks:
+                    if not mask >> g & 1:
+                        continue  # no news at wave start, or dead
+                    news = pk[source[g]] & ~pk[dk]
+                    if not news:
+                        break  # covered by an earlier crossing this wave
+                    if inbound[b]:
+                        overheard = ladder(
+                            attempts, over_p[b, g], "over", (b, g)
+                        )
+                        if charge:
+                            rx_ids.append(int(gw_ids[b, g]))
+                            rx_n.append(overheard)
+                        if not overheard:
+                            continue  # never overheard the source CH
+                    if g:
+                        bgw += 1
+                    got = ladder(attempts, rep_p[b, g], "rep", (b, g))
+                    reports += 1
+                    transmissions += attempts
+                    if charge:
+                        tx_ids.append(int(gw_ids[b, g]))
+                        tx_n.append(attempts)
+                        rx_ids.append(dst_nid[b])
+                        rx_n.append(got)
+                    if not got:
+                        continue  # ladder exhausted; next BGW takes over
+                    pk[dk] |= news
+                    changed.add(dk)
+                    # Relay into the destination cluster.
+                    dst = dst_cluster[b]
+                    lo, hi = aud_ptr[dst], aud_ptr[dst + 1]
+                    heard = broadcast(
+                        aud_p[lo:hi], "cm", (dst, aud_slot[lo:hi])
+                    )
+                    transmissions += 1
+                    if charge:
+                        tx_ids.append(dst_nid[b])
+                        tx_n.append(1)
+                    receivers = aud_nid[lo:hi][heard]
+                    if receivers.size:
+                        hits = heard.tolist()
+                        for j in range(gw_ptr[dst], gw_ptr[dst + 1]):
+                            k = gw_key[j]
+                            if hits[gw_pos[j]] and news & ~pk[k]:
+                                pk[k] |= news
+                                changed.add(k)
+                        relayed.append(receivers)
+                        relayed_news.append(news)
+                        pending += receivers.size
+                        if pending >= _RELAY_BATCH:
+                            self._fold_relays(learned, relayed, relayed_news)
+                            relayed, relayed_news, pending = [], [], 0
                     progressed = True
+                    break
             if not progressed:
                 break
+            keys = np.fromiter(changed, dtype=np.int64, count=len(changed))
+            key_words[keys] = self._words([pk[k] for k in keys.tolist()])
+            candidates = self._retest(active, keys)
 
-    def _cross_channel(
-        self,
-        b: int,
-        ranks_ok: np.ndarray,
-        alive_m: np.ndarray,
-        hd: np.ndarray,
-        attempts: int,
-    ) -> bool:
-        """Attempt one channel crossing; returns True on success."""
-        loss = self.loss
-        layout = self.layout
-        dst = int(self.ch_dst[b])  # cluster index (layout rows, chains)
-        dst_nid = int(self.ch_dst_nid[b])  # the dst CH's knowledge row
-        inbound = bool(self.ch_inbound[b])
-        src_row = self.known[int(self.ch_src_nid[b])]
-        for g in np.flatnonzero(ranks_ok):
-            gid = int(self.ch_gw_ids[b, g])
-            if inbound:
-                news = src_row & ~self.known[dst_nid]
-            else:
-                news = self.known[gid] & ~self.known[dst_nid]
-            if not news.any():
-                return False  # covered by an earlier crossing this wave
-            if inbound:
-                over = loss.delivered(
-                    attempts,
-                    distances=np.full(attempts, self.ch_overhear_dist[b, g]),
-                    chain="over",
-                    at=(b, g),
-                )
-                if self._e_rx is not None:
-                    self._e_rx[gid] += int(over.sum())
-                if not over.any():
-                    continue  # never overheard the source CH; next BGW
-            if g > 0:
-                self.bgw_activations += 1
-            rep = loss.delivered(
-                attempts,
-                distances=np.full(attempts, self.ch_report_dist[b, g]),
-                chain="rep",
-                at=(b, g),
-            )
-            self.reports_sent += 1
-            self.report_retransmissions += attempts - 1
-            self.transmissions += attempts
-            if self._e_tx is not None:
-                self._e_tx[gid] += attempts
-                self._e_rx[dst_nid] += int(rep.sum())
-            if not rep.any():
-                continue  # report ladder exhausted; next BGW takes over
-            self.known[dst_nid] |= news
-            rel = loss.draw_into(alive_m[dst], hd[dst], chain="cm", at=dst)
-            self.transmissions += 1
-            rec_ids = layout.members[dst][rel & layout.member_mask[dst]]
-            if self._e_tx is not None:
-                self._e_tx[dst_nid] += 1
-                self._e_rx[rec_ids] += 1
-            if rec_ids.size:
-                self.known[rec_ids] |= news[None, :]
-            return True
-        return False
+        if relayed:
+            self._fold_relays(learned, relayed, relayed_news)
+        rows_hit = np.flatnonzero(learned.any(axis=1))
+        self.known[rows_hit] |= self._bits(learned[rows_hit])
+        self.known[self.head_ids] = self._bits(key_words[: self.C])
+        self.transmissions += transmissions
+        self.reports_sent += reports
+        self.report_retransmissions += reports * (attempts - 1)
+        self.bgw_activations += bgw
+        if charge:
+            np.add.at(self._e_tx, np.asarray(tx_ids, dtype=np.int64), tx_n)
+            np.add.at(self._e_rx, np.asarray(rx_ids, dtype=np.int64), rx_n)
+
+    def _relay_audience(self, alive_m: np.ndarray, hd: np.ndarray) -> tuple:
+        """Every cluster's relay audience this execution, flattened.
+
+        Cluster ``c`` owns entries ``ptr[c]:ptr[c + 1]`` of its alive
+        member slots, their NIDs and link loss, and entries
+        ``gw_ptr[c]:gw_ptr[c + 1]`` of the gateways among them: position
+        in the cluster's entries, and key.
+        """
+        aud_c, aud_slot = np.nonzero(alive_m)
+        aud_nid = self.layout.members[aud_c, aud_slot]
+        aud_p = self.loss.link_loss(hd[aud_c, aud_slot])
+        starts = np.searchsorted(aud_c, np.arange(self.C + 1))
+        gw = np.flatnonzero(self._key_of[aud_nid] >= 0)
+        gw_ptr = np.searchsorted(aud_c[gw], np.arange(self.C + 1))
+        return (
+            starts.tolist(), aud_slot, aud_nid, aud_p, gw_ptr.tolist(),
+            (gw - starts[aud_c[gw]]).tolist(),
+            self._key_of[aud_nid[gw]].tolist(),
+        )
+
+    def _retest(self, active: np.ndarray, changed: np.ndarray) -> np.ndarray:
+        """The next wave's candidates: this wave's active channels plus
+        every channel a changed key feeds (a CSR gather)."""
+        lo, hi = self._feeds_ptr[changed], self._feeds_ptr[changed + 1]
+        fed = np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)
+        fed += np.arange(fed.size)
+        retest = np.zeros(self.ch_gw_ok.shape[0], dtype=bool)
+        retest[active] = True
+        retest[self._feeds[fed]] = True
+        return np.flatnonzero(retest)
+
+    def _words(self, values: List[int]) -> np.ndarray:
+        """Knowledge ints -> (n, ceil(T/64)) little-endian uint64 rows."""
+        words = (self.T + 63) // 64
+        if words == 1:
+            return np.array(values, dtype="<u8").reshape(-1, 1)
+        mask = (1 << 64) - 1
+        return np.array(
+            [[(v >> (64 * w)) & mask for w in range(words)] for v in values],
+            dtype="<u8",
+        ).reshape(-1, words)
+
+    def _bits(self, words: np.ndarray) -> np.ndarray:
+        """Little-endian uint64 knowledge rows -> a (rows, T) bool block."""
+        return np.unpackbits(
+            np.ascontiguousarray(words).view(np.uint8),
+            axis=1, count=self.T, bitorder="little",
+        ).view(bool)
+
+    def _fold_relays(
+        self, learned: np.ndarray, relayed: List[np.ndarray], news: List[int]
+    ) -> None:
+        """OR each relay's news into its receivers' rows of ``learned``
+        (and charge their receptions)."""
+        ids = np.concatenate(relayed)
+        if self._e_rx is not None:
+            np.add.at(self._e_rx, ids, 1)
+        distinct: Dict[int, int] = {}
+        which = np.repeat(
+            [distinct.setdefault(v, len(distinct)) for v in news],
+            [r.size for r in relayed],
+        )
+        np.bitwise_or.at(learned, ids, self._words(list(distinct))[which])

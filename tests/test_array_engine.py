@@ -325,7 +325,7 @@ def test_gilbert_always_bad_drops_everything():
 
 
 def test_gilbert_single_link_ladder_matches_scalar_reference():
-    """Sequential single-copy draws on one chain cell consume the stream
+    """Sequential single-attempt ladders on one chain cell consume the stream
     exactly like the scalar model (transition uniform, then loss uniform
     in the new state), so seeding both identically must reproduce the
     same delivered sequence -- correlated bursts included."""
@@ -340,13 +340,22 @@ def test_gilbert_single_link_ladder_matches_scalar_reference():
     )
     scalar = GilbertElliottLoss(**params)
     scalar_rng = np.random.default_rng(99)
-    got = [bool(array.delivered(1, chain="link")[0]) for _ in range(200)]
+    array.ensure_chain("link", ())
+    got = [array.ladder(1, 0.0, "link", ()) == 1 for _ in range(200)]
     want = [
         not scalar.is_lost(0, 1, 10.0, float(i), scalar_rng)
         for i in range(200)
     ]
     assert got == want
     assert any(got) and not all(got)  # the chain actually burst
+    # One 200-attempt ladder walks the chain through the same draws.
+    again = ArrayLossDraw(
+        "gilbert", tuple(params.items()),
+        loss_probability=0.0, transmission_range=100.0,
+        rng=np.random.default_rng(99),
+    )
+    again.ensure_chain("link", ())
+    assert again.ladder(200, 0.0, "link", ()) == sum(want)
 
 
 def test_gilbert_stationary_loss_rate_matches_scalar():
