@@ -9,8 +9,8 @@ Commands
 ``validate``
     Monte Carlo + protocol-in-the-loop validation at a chosen (N, p).
 ``scenario``
-    Run an end-to-end multi-cluster scenario with crashes and print the
-    scored summary.
+    Run an end-to-end multi-cluster scenario with crashes on the event,
+    array or rt engine (``--engine``) and print the scored summary.
 ``reachability``
     Print the DCH reachability study (the analysis the paper summarizes).
 ``soak``
@@ -31,17 +31,18 @@ Commands
     ``lineage <report-id>`` (one failure report's R-1 -> R-3 ->
     inter-cluster path), ``latency``.
 ``rt``
-    Real-network runtime: ``run`` (an N-node scenario over localhost
-    UDP sockets with wall-clock phi timers, socket-layer loss, and
-    fail-stop crash injection; per-node JSONL spools merge into one
-    ``repro trace``-compatible file) and ``diff`` (the
-    ``differential:realnet`` harness -- seeded specs run under sim and
-    runtime must agree on oracle verdicts and latency anchors).
+    Real-network runtime: ``diff`` (the ``differential:realnet``
+    harness -- seeded configs run under sim and runtime must agree on
+    oracle verdicts and latency anchors).  One run over localhost UDP
+    sockets is ``scenario --engine rt``.
 ``serve``
     Live dashboard over a trace spool: JSON endpoints byte-identical to
     the ``repro trace`` CLI, an SSE tail of a growing spool at
     ``/events``, campaign status at ``/api/campaigns``, and Prometheus
     exposition at ``/metrics`` (see :mod:`repro.serve`).
+
+Every library error (:class:`~repro.errors.ReproError`) prints one
+``error: ...`` line and exits 1.
 
 Exit codes: 0 success, 1 failure/usage, 2 failed campaign chunks,
 3 partial campaign (``--stop-after`` checkpoint), 130 interrupted
@@ -114,43 +115,51 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from repro.errors import ExperimentError
     from repro.experiments.runner import (
-        ScenarioConfig,
+        config_from_args,
+        latency_table,
         run_scenario,
         summary_lines,
     )
 
-    config = ScenarioConfig(
-        cluster_count=args.clusters,
-        members_per_cluster=args.members,
-        loss_probability=args.p,
-        crash_count=args.crashes,
-        executions=args.executions,
-        seed=args.seed,
-        formation=args.formation,
-        formation_iterations=args.formation_iterations,
-        formation_backoff_fraction=args.formation_backoff,
-        engine=args.engine,
-        loss_kind=args.loss_kind,
-        track_energy=args.track_energy,
-    )
+    config = config_from_args(args)
+    trace_out = Path(args.trace_out) if args.trace_out else None
     tracer = None
     profiler = None
-    if args.trace_out:
-        from repro.obs.spool import SpoolingTracer
-
-        tracer = SpoolingTracer(Path(args.trace_out))
     if args.profile:
+        if config.engine == "rt":
+            raise ExperimentError("--profile needs the event or array engine")
         from repro.obs.profiler import PhaseProfiler
 
         profiler = PhaseProfiler()
-    try:
-        result = run_scenario(config, tracer=tracer, profiler=profiler)
-    finally:
-        if tracer is not None:
-            tracer.close()
+    if config.engine == "rt" and trace_out is not None:
+        if trace_out.suffix == ".gz":
+            raise ExperimentError(
+                "the rt engine merges its per-node spools into plain "
+                "JSONL; give --trace-out a .jsonl path"
+            )
+        from repro.rt.runtime import run_rt_scenario
+
+        # Per-node spools go in a directory beside the merged trace.
+        result = run_rt_scenario(
+            config,
+            spool_dir=trace_out.with_name(trace_out.name + ".spools"),
+            merged_out=trace_out,
+        )
+    else:
+        if trace_out is not None:
+            from repro.obs.spool import SpoolingTracer
+
+            tracer = SpoolingTracer(trace_out)
+        try:
+            result = run_scenario(config, tracer=tracer, profiler=profiler)
+        finally:
+            if tracer is not None:
+                tracer.close()
     for line in summary_lines(result.summary()):
         print(line)
+    print(f"  {'codec_errors':26s} {result.codec_errors}")
     energy = result.energy
     if energy is not None:
         for key, value in energy.totals().items():
@@ -161,10 +170,15 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         for phase, seconds, share, calls in profiler.shares():
             print(f"    {phase:20s} {seconds:9.4f}s {100 * share:5.1f}%  "
                   f"{calls} call(s)")
-    if tracer is not None:
-        print(f"  trace spooled to {args.trace_out} "
-              f"({tracer.spooled} record(s); analyze with 'repro trace')")
-    return 0 if result.properties.is_accurate else 1
+    table = latency_table(result)
+    if table is not None:
+        print(table)
+    if trace_out is not None:
+        spooled = "" if tracer is None else f"{tracer.spooled} record(s); "
+        print(f"  trace spooled to {trace_out} "
+              f"({spooled}analyze with 'repro trace')")
+    ok = result.properties.is_accurate and result.codec_errors == 0
+    return 0 if ok else 1
 
 
 def _cmd_reachability(args: argparse.Namespace) -> int:
@@ -216,7 +230,10 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand registered."""
+    from repro.experiments.runner import add_scenario_flags
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Cluster-based FDS (DSN 2004) reproduction toolkit",
@@ -236,40 +253,15 @@ def main(argv: list[str] | None = None) -> int:
     validate.add_argument("--executions", type=int, default=150)
 
     scenario = sub.add_parser("scenario", help="run an end-to-end scenario")
-    scenario.add_argument("--clusters", type=int, default=4)
-    scenario.add_argument("--members", type=int, default=30)
-    scenario.add_argument("--p", type=float, default=0.1)
-    scenario.add_argument("--crashes", type=int, default=2)
-    scenario.add_argument("--executions", type=int, default=5)
-    scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--formation", choices=("oracle", "protocol"),
-                          default="oracle")
-    scenario.add_argument("--formation-iterations", dest="formation_iterations",
-                          type=int, default=3,
-                          help="six-round formation iterations (protocol "
-                               "formation only)")
-    scenario.add_argument("--formation-backoff", dest="formation_backoff",
-                          type=float, default=0.4,
-                          help="RCC declaration backoff upper bound as a "
-                               "fraction of a round, in (0, 0.9]")
-    scenario.add_argument("--loss-kind", dest="loss_kind", default="bernoulli",
-                          choices=("perfect", "bernoulli", "bounded",
-                                   "distance", "gilbert"),
-                          help="loss model kind (default bernoulli with p)")
-    scenario.add_argument("--track-energy", dest="track_energy",
-                          action="store_true",
-                          help="charge the per-node energy ledger and print "
-                               "its totals")
-    scenario.add_argument("--engine", choices=("event", "array"),
-                          default="event",
-                          help="'event' = discrete-event reference; 'array' = "
-                               "round-level numpy engine (both formation "
-                               "modes, scales to 10^6 nodes)")
+    add_scenario_flags(scenario)
     scenario.add_argument("--trace-out", type=str, default="",
-                          help="spool the full trace to this .jsonl[.gz] path")
+                          help="spool the full trace to this .jsonl[.gz] "
+                               "path (rt: plain .jsonl, merged from per-node "
+                               "spools kept in <path>.spools/)")
     scenario.add_argument("--profile", action="store_true",
                           help="attach the phase profiler; per-phase totals "
-                               "are printed and spooled as profile.phase")
+                               "are printed and spooled as profile.phase "
+                               "(event and array engines)")
 
     reach = sub.add_parser("reachability", help="DCH reachability study")
     reach.add_argument("--p", type=float, default=0.1)
@@ -307,8 +299,11 @@ def main(argv: list[str] | None = None) -> int:
                        help="small sizes for CI smoke runs")
     bench.add_argument("--output", type=str, default="",
                        help="output path (default: <repo root>/BENCH_hotpaths.json)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     def _cmd_campaign(namespace: argparse.Namespace) -> int:
         from repro.campaign.cli import cmd_campaign
@@ -348,8 +343,13 @@ def main(argv: list[str] | None = None) -> int:
         "rt": _cmd_rt,
         "serve": _cmd_serve,
     }
+    from repro.errors import ReproError
+
     try:
         return handlers[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}")
+        return 1
     except KeyboardInterrupt:
         # Durable state (journals, store objects) is flushed as it is
         # produced; acknowledge the signal with the conventional code.

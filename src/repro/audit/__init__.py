@@ -2,7 +2,6 @@
 and soak-test the whole stack with differential conformance runs."""
 
 from repro.audit.differential import (
-    ScenarioSpec,
     Violation,
     check_spec,
     probe_forwarder_conformance,
@@ -49,7 +48,6 @@ __all__ = [
     "run_realnet_suite",
     "AuditFinding",
     "AuditStatus",
-    "ScenarioSpec",
     "SoakOptions",
     "SoakResult",
     "SoakViolation",

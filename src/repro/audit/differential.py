@@ -1,8 +1,9 @@
 """Differential conformance checking of whole scenario runs.
 
-One seeded :class:`ScenarioSpec` describes a complete experiment
-(topology, crash schedule, loss model).  :func:`check_spec` runs it under
-paired configurations and asserts what each pair promises:
+One seeded :class:`~repro.experiments.runner.ScenarioConfig` describes a
+complete experiment (topology, crash schedule, loss model).
+:func:`check_spec` runs it under paired configurations and asserts what
+each pair promises:
 
 - **vectorized vs scalar medium**: bit-identical traces (the scalar loop
   is the reference implementation of the same seeded draws);
@@ -32,7 +33,7 @@ random soak to find.
 When a violation is found, :func:`shrink_spec` greedily reduces the
 scenario (fewer executions, clusters, members, crashes; simpler loss)
 while the violation reproduces, and :func:`repro_snippet` renders the
-minimal spec as a ready-to-paste pytest case.
+minimal config as a ready-to-paste pytest case.
 """
 
 from __future__ import annotations
@@ -44,8 +45,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.audit.invariants import run_audit_statuses
-from repro.experiments.parallel import run_scenario_summaries
-from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
+from repro.experiments.runner import (
+    ScenarioConfig,
+    ScenarioResult,
+    run_scenario,
+    run_scenario_summaries,
+)
 from repro.fds.config import FdsConfig
 from repro.fds.events import (
     DETECTION,
@@ -56,92 +61,52 @@ from repro.fds.events import (
 from repro.fds.intercluster import InterclusterForwarder
 from repro.fds.messages import FailureReport, HealthStatusUpdate
 from repro.sim.engine import Simulator
-from repro.sim.loss import sweep_loss_params
+from repro.sim.loss import DEFAULT_BOUNDED_BUDGET, sweep_loss_params
 from repro.sim.medium import RadioMedium
 from repro.sim.node import SimNode
 from repro.sim.trace import RecordingTracer, iter_jsonl
 from repro.util.geometry import Vec2
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A seeded, self-contained scenario for differential checking.
-
-    Everything :func:`check_spec` runs derives deterministically from
-    these fields, so a spec *is* a repro: same spec, same verdict.
-    ``phi`` is deliberately generous relative to ``thop`` so the
-    round-structure audit stays applicable (the simulator is
-    event-driven; a long idle tail costs no wall-clock).
-    """
-
-    seed: int = 0
-    cluster_count: int = 4
-    members_per_cluster: int = 12
-    crash_count: int = 2
-    executions: int = 5
-    loss_kind: str = "perfect"
-    loss_p: float = 0.3
-    loss_budget: int = 2
-    spacing_factor: float = 1.25
-    max_backups: int = 2
-    phi: float = 20.0
-    thop: float = 0.5
-
-    def fds_config(self, use_digests: bool = True) -> FdsConfig:
-        return FdsConfig(phi=self.phi, thop=self.thop, use_digests=use_digests)
-
-    def to_config(
-        self,
-        vectorized: bool = True,
-        use_digests: bool = True,
-        engine: str = "event",
-    ) -> ScenarioConfig:
-        return ScenarioConfig(
-            cluster_count=self.cluster_count,
-            members_per_cluster=self.members_per_cluster,
-            crash_count=self.crash_count,
-            executions=self.executions,
-            seed=self.seed,
-            loss_kind=self.loss_kind,
-            loss_params=sweep_loss_params(
-                self.loss_kind, self.loss_p, self.loss_budget
-            ),
-            spacing_factor=self.spacing_factor,
-            max_backups=self.max_backups,
-            vectorized=vectorized,
-            engine=engine,
-            fds=self.fds_config(use_digests=use_digests),
-        )
-
-
-def random_spec(rng: np.random.Generator) -> ScenarioSpec:
+def random_spec(rng: np.random.Generator) -> ScenarioConfig:
     """Sample one scenario from the soak distribution.
 
     Biased toward tight 2x2 lattices (multi-boundary gateways, the
     geometry where inter-cluster forwarding earns its keep) and toward
     the bounded-adversary loss model, under which completeness is a hard
-    guarantee rather than a probabilistic one.
+    guarantee rather than a probabilistic one.  ``phi`` is deliberately
+    generous relative to ``thop`` so the round-structure audit stays
+    applicable (the simulator is event-driven; a long idle tail costs no
+    wall-clock).  A config *is* a repro: same config, same verdict.
     """
     loss_kind = str(
         rng.choice(["perfect", "bounded", "bounded", "bernoulli", "gilbert"])
     )
-    return ScenarioSpec(
-        seed=int(rng.integers(0, 2**31 - 1)),
-        cluster_count=int(rng.choice([2, 3, 4, 4])),
-        members_per_cluster=int(rng.integers(8, 17)),
-        crash_count=int(rng.integers(0, 4)),
-        executions=int(rng.integers(4, 8)),
+    # Draw order is part of the distribution: keep it.
+    seed = int(rng.integers(0, 2**31 - 1))
+    cluster_count = int(rng.choice([2, 3, 4, 4]))
+    members_per_cluster = int(rng.integers(8, 17))
+    crash_count = int(rng.integers(0, 4))
+    executions = int(rng.integers(4, 8))
+    loss_p = float(rng.choice([0.15, 0.25, 0.35]))
+    loss_budget = int(rng.integers(1, 3))
+    return ScenarioConfig(
+        seed=seed,
+        cluster_count=cluster_count,
+        members_per_cluster=members_per_cluster,
+        crash_count=crash_count,
+        executions=executions,
         loss_kind=loss_kind,
-        loss_p=float(rng.choice([0.15, 0.25, 0.35])),
-        loss_budget=int(rng.integers(1, 3)),
+        loss_params=sweep_loss_params(loss_kind, loss_p, loss_budget),
         spacing_factor=float(rng.choice([1.25, 1.4, 1.6])),
         max_backups=int(rng.choice([1, 2, 3])),
+        fds=FdsConfig(phi=20.0, thop=0.5),
     )
 
 
 @dataclass(frozen=True)
 class Violation:
-    """One conformance failure of a spec."""
+    """One conformance failure of a config."""
 
     kind: str
     description: str
@@ -163,8 +128,8 @@ def trace_fingerprint(tracer: RecordingTracer) -> str:
 # ----------------------------------------------------------------------
 # Oracles
 # ----------------------------------------------------------------------
-def completeness_guaranteed(spec: ScenarioSpec) -> bool:
-    """Whether the spec's loss model makes completeness deterministic.
+def completeness_guaranteed(config: ScenarioConfig) -> bool:
+    """Whether the config's loss model makes completeness deterministic.
 
     Blocking one boundary crossing costs at least ``max_forward_retries
     + 1`` targeted drops (the GW's attempts alone), and the origin watch
@@ -173,17 +138,18 @@ def completeness_guaranteed(spec: ScenarioSpec) -> bool:
     propagation.  Under unbounded Bernoulli loss the paper only promises
     probabilistic completeness, so the oracle would be unsound.
     """
-    if spec.loss_kind == "perfect":
+    if config.loss_kind == "perfect":
         return True
-    if spec.loss_kind == "bounded":
-        return spec.loss_budget <= spec.fds_config().max_forward_retries
+    if config.loss_kind == "bounded":
+        budget = dict(config.loss_params).get("budget", DEFAULT_BOUNDED_BUDGET)
+        return budget <= config.fds.max_forward_retries
     return False
 
 
 def completeness_violations(
-    spec: ScenarioSpec, result: ScenarioResult
+    config: ScenarioConfig, result: ScenarioResult
 ) -> List[Violation]:
-    if not completeness_guaranteed(spec):
+    if not completeness_guaranteed(config):
         return []
     return [
         Violation(
@@ -197,9 +163,7 @@ def completeness_violations(
     ]
 
 
-def accuracy_violations(
-    spec: ScenarioSpec, result: ScenarioResult
-) -> List[Violation]:
+def accuracy_violations(result: ScenarioResult) -> List[Violation]:
     """False suspicions must be refuted (or fall in the final window).
 
     Trace-based: pair every detection of a node that is operational at
@@ -258,12 +222,10 @@ def predetected(latencies: Dict) -> Set[int]:
     }
 
 
-def audit_violations(
-    spec: ScenarioSpec, result: ScenarioResult, label: str
-) -> List[Violation]:
+def audit_violations(result: ScenarioResult, label: str) -> List[Violation]:
     violations: List[Violation] = []
     for status in run_audit_statuses(
-        result.tracer, result.config.fds, result.crash_times
+        result.tracer, result.fds, result.crash_times
     ):
         violations.extend(
             Violation(
@@ -300,7 +262,7 @@ def verdict_records(tracer: RecordingTracer) -> List[Tuple]:
 
 
 def array_engine_violations(
-    spec: ScenarioSpec, event: ScenarioResult
+    config: ScenarioConfig, event: ScenarioResult
 ) -> List[Violation]:
     """Verdict-level equivalence of the round-level array engine.
 
@@ -331,7 +293,7 @@ def array_engine_violations(
     dropped.
 
     The loss-independent anchors above hold under every loss kind the
-    spec distribution samples, including the stateful ``gilbert``
+    soak distribution samples, including the stateful ``gilbert``
     chains -- each engine drives its own chains from its private stream,
     but crashed-target latencies and guaranteed completeness do not
     depend on the draws.
@@ -343,7 +305,7 @@ def array_engine_violations(
     mirror the run's message accounting exactly (one transmit debit per
     transmission, one receive debit per delivered copy).
     """
-    array = run_scenario(spec.to_config(engine="array"))
+    array = run_scenario(replace(config, engine="array"))
     violations: List[Violation] = []
 
     event_summary = event.summary()
@@ -381,7 +343,7 @@ def array_engine_violations(
             )
         )
 
-    if completeness_guaranteed(spec):
+    if completeness_guaranteed(config):
         for label, result in (("event", event), ("array", array)):
             if result.properties.mean_completeness != 1.0:
                 violations.append(
@@ -397,10 +359,10 @@ def array_engine_violations(
 
     violations.extend(
         Violation(kind="differential:array", description=f"[array] {v.description}")
-        for v in accuracy_violations(spec, array)
+        for v in accuracy_violations(array)
     )
 
-    if spec.loss_kind == "perfect":
+    if config.loss_kind == "perfect":
         if verdict_records(event.tracer) != verdict_records(array.tracer):
             violations.append(
                 Violation(
@@ -412,11 +374,11 @@ def array_engine_violations(
                 )
             )
 
-    violations.extend(energy_ledger_violations(spec))
+    violations.extend(energy_ledger_violations(config))
     return violations
 
 
-def formation_violations(spec: ScenarioSpec) -> List[Violation]:
+def formation_violations(config: ScenarioConfig) -> List[Violation]:
     """The distributed-formation pair: event vs array, plus shape audit.
 
     **Lossless leg** (both engines, ``formation="protocol"`` over
@@ -427,7 +389,7 @@ def formation_violations(spec: ScenarioSpec) -> List[Violation]:
     boundaries, unclustered set) and the FDS phase's verdict records
     must be bit-identical, times included.
 
-    **Lossy leg** (array engine only, the spec's own loss model): the
+    **Lossy leg** (array engine only, the config's own loss model): the
     engines draw formation loss from private streams, so under loss the
     elected head sets legitimately diverge (which also re-deals the
     faultload candidate list) and no cross-engine comparison is sound.
@@ -445,13 +407,11 @@ def formation_violations(spec: ScenarioSpec) -> List[Violation]:
 
     violations: List[Violation] = []
 
-    lossless = replace(spec, loss_kind="perfect")
-    event = run_scenario(
-        replace(lossless.to_config(engine="event"), formation="protocol")
+    lossless = replace(
+        config, loss_kind="perfect", loss_params=(), formation="protocol"
     )
-    array = run_scenario(
-        replace(lossless.to_config(engine="array"), formation="protocol")
-    )
+    event = run_scenario(replace(lossless, engine="event"))
+    array = run_scenario(replace(lossless, engine="array"))
     layout = formation_cluster_layout(array.formation)
     for field_name, got, want in (
         ("clusters", layout.clusters, event.layout.clusters),
@@ -490,9 +450,9 @@ def formation_violations(spec: ScenarioSpec) -> List[Violation]:
             )
         )
 
-    if spec.loss_kind != "perfect":
+    if config.loss_kind != "perfect":
         lossy = run_scenario(
-            replace(spec.to_config(engine="array"), formation="protocol")
+            replace(config, engine="array", formation="protocol")
         )
         violations.extend(
             Violation(
@@ -504,10 +464,10 @@ def formation_violations(spec: ScenarioSpec) -> List[Violation]:
     return violations
 
 
-def energy_ledger_violations(spec: ScenarioSpec) -> List[Violation]:
+def energy_ledger_violations(config: ScenarioConfig) -> List[Violation]:
     """The array energy ledger vs a scalar EnergyModel replay.
 
-    Runs the spec through the array engine with ``track_energy`` on and
+    Runs the config through the array engine with ``track_energy`` on and
     the charge journal recording, then replays the journal debit by
     debit through :class:`~repro.energy.model.EnergyModel`.  The two
     must agree bit for bit (per-node levels and counters, totals,
@@ -518,8 +478,10 @@ def energy_ledger_violations(spec: ScenarioSpec) -> List[Violation]:
     from repro.sim.array_engine import run_array_scenario
     from repro.sim.array_engine.energy import replay_journal
 
-    config = replace(spec.to_config(engine="array"), track_energy=True)
-    result = run_array_scenario(config, record_energy_journal=True)
+    result = run_array_scenario(
+        replace(config, engine="array", track_energy=True),
+        record_energy_journal=True,
+    )
     ledger = result.energy
     model = replay_journal(ledger)
     violations: List[Violation] = []
@@ -585,7 +547,7 @@ def energy_ledger_violations(spec: ScenarioSpec) -> List[Violation]:
 # ----------------------------------------------------------------------
 # Directed forwarder-conformance probes
 # ----------------------------------------------------------------------
-def probe_forwarder_conformance(spec: ScenarioSpec) -> List[Violation]:
+def probe_forwarder_conformance(scenario: ScenarioConfig) -> List[Violation]:
     """Drive a forwarder through the rare paths and replay the trace.
 
     Three seeded probes on a tiny synthetic medium:
@@ -605,8 +567,8 @@ def probe_forwarder_conformance(spec: ScenarioSpec) -> List[Violation]:
     end-to-end traces, so a reintroduced forwarding bug fails here even
     when the random topology never exercises it.
     """
-    rng = np.random.default_rng(spec.seed)
-    config = spec.fds_config()
+    rng = np.random.default_rng(scenario.seed)
+    config = scenario.fds
     ids = [int(x) for x in rng.permutation(np.arange(10, 90))[:8]]
     my_id, my_head, peer_b, peer_c, f1, f2, f3, _spare = ids
     violations: List[Violation] = []
@@ -640,7 +602,7 @@ def probe_forwarder_conformance(spec: ScenarioSpec) -> List[Violation]:
         violations.extend(
             Violation(kind=f"probe:{name}", description=v.description)
             for v in audit_violations(
-                spec, _ProbeResult(tracer, config), f"probe:{name}"
+                _ProbeResult(tracer, config), f"probe:{name}"
             )
             if v.kind == "audit:forwarder-conformance"
         )
@@ -703,22 +665,17 @@ def probe_forwarder_conformance(spec: ScenarioSpec) -> List[Violation]:
 class _ProbeResult:
     """Just enough of a ScenarioResult for :func:`audit_violations`."""
 
-    def __init__(self, tracer: RecordingTracer, config: FdsConfig) -> None:
+    def __init__(self, tracer: RecordingTracer, fds: FdsConfig) -> None:
         self.tracer = tracer
-        self.config = _ProbeConfig(config)
-        self.crash_times: dict = {}
-
-
-class _ProbeConfig:
-    def __init__(self, fds: FdsConfig) -> None:
         self.fds = fds
+        self.crash_times: dict = {}
 
 
 # ----------------------------------------------------------------------
 # The differential check
 # ----------------------------------------------------------------------
 def check_spec(
-    spec: ScenarioSpec,
+    config: ScenarioConfig,
     check_parallel: bool = True,
     check_probes: bool = True,
     check_array: bool = True,
@@ -735,8 +692,8 @@ def check_spec(
     """
     violations: List[Violation] = []
 
-    base = run_scenario(spec.to_config(vectorized=True))
-    scalar = run_scenario(spec.to_config(vectorized=False))
+    base = run_scenario(config)
+    scalar = run_scenario(replace(config, vectorized=False))
     base_fp = trace_fingerprint(base.tracer)
     if base_fp != trace_fingerprint(scalar.tracer):
         violations.append(
@@ -750,8 +707,8 @@ def check_spec(
         )
 
     if check_parallel:
-        serial = run_scenario_summaries([spec.to_config()], workers=1)
-        pooled = run_scenario_summaries([spec.to_config()], workers=2)
+        serial = run_scenario_summaries([config], workers=1)
+        pooled = run_scenario_summaries([config], workers=2)
         if serial != pooled:
             violations.append(
                 Violation(
@@ -763,77 +720,93 @@ def check_spec(
                 )
             )
 
-    ablated = run_scenario(spec.to_config(use_digests=False))
+    ablated = run_scenario(
+        replace(config, fds=replace(config.fds, use_digests=False))
+    )
 
-    violations.extend(completeness_violations(spec, base))
-    violations.extend(accuracy_violations(spec, base))
-    violations.extend(audit_violations(spec, base, "base"))
-    violations.extend(audit_violations(spec, scalar, "scalar"))
-    violations.extend(audit_violations(spec, ablated, "no-digests"))
+    violations.extend(completeness_violations(config, base))
+    violations.extend(accuracy_violations(base))
+    violations.extend(audit_violations(base, "base"))
+    violations.extend(audit_violations(scalar, "scalar"))
+    violations.extend(audit_violations(ablated, "no-digests"))
     if check_array:
-        violations.extend(array_engine_violations(spec, base))
+        violations.extend(array_engine_violations(config, base))
     if check_formation:
-        violations.extend(formation_violations(spec))
+        violations.extend(formation_violations(config))
     if check_probes:
-        violations.extend(probe_forwarder_conformance(spec))
+        violations.extend(probe_forwarder_conformance(config))
     return violations
 
 
 # ----------------------------------------------------------------------
 # Shrinking
 # ----------------------------------------------------------------------
+def _with_budget(config: ScenarioConfig, budget: float) -> ScenarioConfig:
+    """``config`` with the ``"budget"`` entry of its loss params replaced."""
+    return replace(
+        config,
+        loss_params=tuple(
+            (key, budget if key == "budget" else value)
+            for key, value in config.loss_params
+        ),
+    )
+
+
 def shrink_spec(
-    spec: ScenarioSpec,
+    config: ScenarioConfig,
     check_parallel: bool = True,
     max_evals: int = 32,
-    still_fails: Optional[Callable[[ScenarioSpec], bool]] = None,
-) -> ScenarioSpec:
-    """Greedily reduce a failing spec while it keeps failing.
+    still_fails: Optional[Callable[[ScenarioConfig], bool]] = None,
+) -> ScenarioConfig:
+    """Greedily reduce a failing config while it keeps failing.
 
     Each pass tries one simplification (fewer executions, clusters,
     members, crashes; smaller drop budget; perfect links; fewer backups)
-    and keeps it if the spec still produces *any* violation.  Bounded by
-    ``max_evals`` full re-checks, so shrinking a pathological spec cannot
-    run away.
+    and keeps it if the config still produces *any* violation.  Bounded
+    by ``max_evals`` full re-checks, so shrinking a pathological config
+    cannot run away.
     """
     if still_fails is None:
 
-        def still_fails(candidate: ScenarioSpec) -> bool:
+        def still_fails(candidate: ScenarioConfig) -> bool:
             return bool(check_spec(candidate, check_parallel=check_parallel))
 
     evals = 0
 
-    def attempt(candidate: ScenarioSpec) -> bool:
+    def attempt(candidate: ScenarioConfig) -> bool:
         nonlocal evals
         if evals >= max_evals:
             return False
         evals += 1
         return still_fails(candidate)
 
-    current = spec
-    passes: Sequence[Callable[[ScenarioSpec], Optional[ScenarioSpec]]] = (
-        lambda s: replace(s, executions=s.executions - 1)
-        if s.executions > 3
+    def budget(c: ScenarioConfig) -> float:
+        return dict(c.loss_params).get("budget", 0.0)
+
+    current = config
+    passes: Sequence[Callable[[ScenarioConfig], Optional[ScenarioConfig]]] = (
+        lambda c: replace(c, executions=c.executions - 1)
+        if c.executions > 3
         else None,
-        lambda s: replace(s, cluster_count=s.cluster_count - 1)
-        if s.cluster_count > 2
+        lambda c: replace(c, cluster_count=c.cluster_count - 1)
+        if c.cluster_count > 2
         else None,
-        lambda s: replace(
-            s, members_per_cluster=max(4, (3 * s.members_per_cluster) // 4)
+        lambda c: replace(
+            c, members_per_cluster=max(4, (3 * c.members_per_cluster) // 4)
         )
-        if s.members_per_cluster > 4
+        if c.members_per_cluster > 4
         else None,
-        lambda s: replace(s, crash_count=s.crash_count - 1)
-        if s.crash_count > 0
+        lambda c: replace(c, crash_count=c.crash_count - 1)
+        if c.crash_count > 0
         else None,
-        lambda s: replace(s, loss_budget=s.loss_budget - 1)
-        if s.loss_kind == "bounded" and s.loss_budget > 0
+        lambda c: _with_budget(c, budget(c) - 1)
+        if c.loss_kind == "bounded" and budget(c) > 0
         else None,
-        lambda s: replace(s, loss_kind="perfect")
-        if s.loss_kind != "perfect"
+        lambda c: replace(c, loss_kind="perfect", loss_params=())
+        if c.loss_kind != "perfect"
         else None,
-        lambda s: replace(s, max_backups=s.max_backups - 1)
-        if s.max_backups > 0
+        lambda c: replace(c, max_backups=c.max_backups - 1)
+        if c.max_backups is not None and c.max_backups > 0
         else None,
     )
     progress = True
@@ -847,34 +820,21 @@ def shrink_spec(
     return current
 
 
-def repro_snippet(spec: ScenarioSpec, violations: Sequence[Violation]) -> str:
+def repro_snippet(
+    config: ScenarioConfig, violations: Sequence[Violation]
+) -> str:
     """A ready-to-paste pytest case reproducing the violations."""
     lines = [f"    #   - {v.kind}: {v.description}" for v in violations]
-    fields = ", ".join(
-        f"{name}={getattr(spec, name)!r}"
-        for name in (
-            "seed",
-            "cluster_count",
-            "members_per_cluster",
-            "crash_count",
-            "executions",
-            "loss_kind",
-            "loss_p",
-            "loss_budget",
-            "spacing_factor",
-            "max_backups",
-            "phi",
-            "thop",
-        )
-    )
     body = "\n".join(lines) if lines else "    #   (violations list was empty)"
     return (
-        "from repro.audit.differential import ScenarioSpec, check_spec\n"
+        "from repro.audit.differential import check_spec\n"
+        "from repro.experiments.runner import ScenarioConfig\n"
+        "from repro.fds.config import FdsConfig\n"
         "\n"
         "\n"
         "def test_soak_regression():\n"
         "    # Shrunk from a failing soak run; observed violations:\n"
         f"{body}\n"
-        f"    spec = ScenarioSpec({fields})\n"
-        "    assert check_spec(spec) == []\n"
+        f"    config = {config!r}\n"
+        "    assert check_spec(config) == []\n"
     )

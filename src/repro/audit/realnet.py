@@ -1,8 +1,8 @@
 """Sim-vs-real differential conformance (``differential:realnet``).
 
-One seeded :class:`~repro.audit.differential.ScenarioSpec` runs twice:
-under the discrete-event simulator (virtual time) and under the asyncio
-UDP runtime (:mod:`repro.rt.runtime`, wall time scaled by
+One seeded :class:`~repro.experiments.runner.ScenarioConfig` runs twice:
+on the discrete-event simulator (``engine="event"``, virtual time) and on
+the asyncio UDP runtime (``engine="rt"``, wall time scaled by
 ``time_scale``).  Both runs derive topology and faultload from the same
 named RNG streams, so the *loss-independent* structure is comparable
 exactly; everything the wall clock or private loss draws can legitimately
@@ -10,7 +10,7 @@ perturb is compared through tolerance bands or oracles instead:
 
 - **field shape** -- node/cluster counts, the crashed-node set, and each
   crash's execution index must match exactly (stream identity);
-- **completeness oracle** -- when the spec's loss model keeps the drop
+- **completeness oracle** -- when the config's loss model keeps the drop
   budget within the forwarding tolerance
   (:func:`~repro.audit.differential.completeness_guaranteed`), the two
   runs' completeness verdicts must agree (the guarantee itself is the
@@ -26,55 +26,61 @@ perturb is compared through tolerance bands or oracles instead:
   latencies must lie within ``tolerance_phi`` of each other -- the band
   that absorbs asyncio timer jitter and socket latency.
 
-On divergence, :func:`realnet_repro_snippet` renders the spec as a
+On divergence, :func:`realnet_repro_snippet` renders the config as a
 ready-to-paste seeded pytest case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.audit.differential import (
-    ScenarioSpec,
     Violation,
     accuracy_violations,
     completeness_guaranteed,
     predetected,
 )
-from repro.experiments.runner import ScenarioResult, run_scenario
+from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
 from repro.failure.faultload import crash_executions
-from repro.rt.runtime import RtScenario, run_rt_scenario
+from repro.fds.config import FdsConfig
+from repro.sim.loss import sweep_loss_params
 
 #: Default wall-clock tolerance band for phi-unit latency comparison.
 DEFAULT_TOLERANCE_PHI = 0.15
 
 
-def realnet_spec(seed: int) -> ScenarioSpec:
-    """Sample one runtime-sized spec from the realnet soak distribution.
+def realnet_spec(seed: int) -> ScenarioConfig:
+    """Sample one rt-sized config from the realnet soak distribution.
 
     Wall time is real here, so the distribution stays small (two
-    clusters, a handful of executions) and uses ``phi=8`` spec seconds:
-    at the default ``time_scale=0.05`` one execution is 0.4 wall
-    seconds and a whole run stays under ~2.5 s.
+    clusters, a handful of executions) and uses ``phi=8`` scenario
+    seconds: at the default ``time_scale=0.05`` one execution is 0.4
+    wall seconds and a whole run stays under ~2.5 s.
     """
     rng = np.random.default_rng(seed)
     loss_kind = str(rng.choice(["perfect", "perfect", "bernoulli", "bounded"]))
-    return ScenarioSpec(
-        seed=int(rng.integers(0, 2**31 - 1)),
+    # Draw order is part of the distribution: keep it.
+    config_seed = int(rng.integers(0, 2**31 - 1))
+    members_per_cluster = int(rng.integers(5, 9))
+    crash_count = int(rng.integers(1, 3))
+    executions = int(rng.integers(3, 5))
+    loss_p = float(rng.choice([0.1, 0.15]))
+    loss_budget = int(rng.integers(1, 3))
+    return ScenarioConfig(
+        engine="rt",
+        seed=config_seed,
         cluster_count=2,
-        members_per_cluster=int(rng.integers(5, 9)),
-        crash_count=int(rng.integers(1, 3)),
-        executions=int(rng.integers(3, 5)),
+        members_per_cluster=members_per_cluster,
+        crash_count=crash_count,
+        executions=executions,
         loss_kind=loss_kind,
-        loss_p=float(rng.choice([0.1, 0.15])),
-        loss_budget=int(rng.integers(1, 3)),
+        loss_params=sweep_loss_params(loss_kind, loss_p, loss_budget),
         spacing_factor=1.25,
         max_backups=2,
-        phi=8.0,
-        thop=0.5,
+        fds=FdsConfig(phi=8.0, thop=0.5),
     )
 
 
@@ -98,21 +104,21 @@ def _latencies_phi(
 # The differential pair
 # ----------------------------------------------------------------------
 def check_realnet(
-    spec: ScenarioSpec,
-    time_scale: float = 0.05,
+    config: ScenarioConfig,
     tolerance_phi: float = DEFAULT_TOLERANCE_PHI,
     sim: Optional[ScenarioResult] = None,
     rt: Optional[ScenarioResult] = None,
 ) -> List[Violation]:
-    """Run ``spec`` under sim and runtime; return every divergence.
+    """Run ``config`` on the event and rt engines; return every
+    divergence.
 
     ``sim``/``rt`` let a caller that already ran one side (or both)
     reuse the results; both runs must have used in-memory tracers.
     """
     if sim is None:
-        sim = run_scenario(spec.to_config())
+        sim = run_scenario(replace(config, engine="event"))
     if rt is None:
-        rt = run_rt_scenario(RtScenario.from_spec(spec, time_scale=time_scale))
+        rt = run_scenario(replace(config, engine="rt"))
     violations: List[Violation] = []
 
     def diverged(description: str) -> None:
@@ -150,7 +156,7 @@ def check_realnet(
     # deterministic, the sim and rt verdicts must agree.  (Whether the
     # guarantee itself holds is the sim soak's oracle; realnet only
     # checks that the runtime conforms to the simulator.)
-    if completeness_guaranteed(spec):
+    if completeness_guaranteed(config):
         sim_complete = sim.properties.is_complete
         rt_complete = rt.properties.is_complete
         if sim_complete != rt_complete:
@@ -164,7 +170,7 @@ def check_realnet(
     # differential.accuracy_violations in check_spec / the soak).
     violations.extend(
         Violation(kind=v.kind, description=f"[realnet] {v.description}")
-        for v in accuracy_violations(spec, rt)
+        for v in accuracy_violations(rt)
     )
 
     # Loss-independent latency anchors, in phi units with a wall band.
@@ -191,9 +197,9 @@ def check_realnet(
 
 @dataclass
 class RealnetVerdict:
-    """One spec's differential outcome."""
+    """One config's differential outcome."""
 
-    spec: ScenarioSpec
+    spec: ScenarioConfig
     violations: List[Violation]
 
     @property
@@ -223,13 +229,11 @@ def run_realnet_suite(
     tolerance_phi: float = DEFAULT_TOLERANCE_PHI,
     log=None,
 ) -> RealnetSuiteResult:
-    """Check ``count`` seeded specs from the realnet distribution."""
+    """Check ``count`` seeded configs from the realnet distribution."""
     result = RealnetSuiteResult()
     for index in range(count):
-        spec = realnet_spec(seed + index)
-        violations = check_realnet(
-            spec, time_scale=time_scale, tolerance_phi=tolerance_phi
-        )
+        spec = replace(realnet_spec(seed + index), time_scale=time_scale)
+        violations = check_realnet(spec, tolerance_phi=tolerance_phi)
         result.verdicts.append(RealnetVerdict(spec, violations))
         if log is not None:
             status = "ok" if not violations else (
@@ -244,36 +248,20 @@ def run_realnet_suite(
 
 
 def realnet_repro_snippet(
-    spec: ScenarioSpec, violations: List[Violation]
+    config: ScenarioConfig, violations: List[Violation]
 ) -> str:
     """A ready-to-paste pytest case reproducing a realnet divergence."""
     lines = [f"    #   - {v.kind}: {v.description}" for v in violations]
-    fields = ", ".join(
-        f"{name}={getattr(spec, name)!r}"
-        for name in (
-            "seed",
-            "cluster_count",
-            "members_per_cluster",
-            "crash_count",
-            "executions",
-            "loss_kind",
-            "loss_p",
-            "loss_budget",
-            "spacing_factor",
-            "max_backups",
-            "phi",
-            "thop",
-        )
-    )
     body = "\n".join(lines) if lines else "    #   (violations list was empty)"
     return (
-        "from repro.audit.differential import ScenarioSpec\n"
         "from repro.audit.realnet import check_realnet\n"
+        "from repro.experiments.runner import ScenarioConfig\n"
+        "from repro.fds.config import FdsConfig\n"
         "\n"
         "\n"
         "def test_realnet_regression():\n"
         "    # Shrunk from a failing sim/real differential; observed:\n"
         f"{body}\n"
-        f"    spec = ScenarioSpec({fields})\n"
-        "    assert check_realnet(spec) == []\n"
+        f"    config = {config!r}\n"
+        "    assert check_realnet(config) == []\n"
     )

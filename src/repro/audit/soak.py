@@ -1,10 +1,10 @@
 """Randomized differential soak: sample specs, check, shrink, report.
 
 The soak loop is the repo's standing conformance gate: each iteration
-draws a seeded :class:`~repro.audit.differential.ScenarioSpec` from the
+draws a seeded :class:`~repro.experiments.runner.ScenarioConfig` from the
 soak distribution and puts it through every paired configuration and
 oracle in :func:`~repro.audit.differential.check_spec`.  A violation is
-shrunk to a minimal spec and rendered as a ready-to-paste pytest case, so
+shrunk to a minimal config and rendered as a ready-to-paste pytest case, so
 a CI soak failure arrives as a regression test, not a stack trace.
 
 Bounded runs (``repro soak --iterations N``) gate CI; the scheduled
@@ -22,13 +22,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.audit.differential import (
-    ScenarioSpec,
     Violation,
     check_spec,
     random_spec,
     repro_snippet,
     shrink_spec,
 )
+from repro.experiments.runner import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class SoakOptions:
 class SoakViolation:
     """One failing iteration, shrunk and rendered."""
 
-    spec: ScenarioSpec
-    shrunk: ScenarioSpec
+    spec: ScenarioConfig
+    shrunk: ScenarioConfig
     violations: Tuple[Violation, ...]
     snippet: str
     repro_path: Optional[Path] = None
@@ -82,7 +82,7 @@ class SoakResult:
 
 
 def soak_iteration(
-    spec: ScenarioSpec,
+    spec: ScenarioConfig,
     check_parallel: bool = True,
     max_shrink_evals: int = 24,
 ) -> Optional[SoakViolation]:
@@ -106,27 +106,27 @@ def soak_iteration(
     )
 
 
-def _spec_cache_key(spec: ScenarioSpec, options: SoakOptions) -> str:
-    from dataclasses import asdict
-
-    from repro.campaign.store import content_key
+def _spec_cache_key(spec: ScenarioConfig, options: SoakOptions) -> str:
+    from repro.campaign.store import canonical_config_dict, content_key
 
     return content_key(
         "soak_iteration",
         {
-            "spec": asdict(spec),
+            "spec": canonical_config_dict(spec),
             "check_parallel": options.check_parallel,
             "max_shrink_evals": options.max_shrink_evals,
         },
     )
 
 
-def _cached_verdict(payload: dict, spec: ScenarioSpec) -> Optional[SoakViolation]:
+def _cached_verdict(payload: dict, spec: ScenarioConfig) -> Optional[SoakViolation]:
+    from repro.campaign.store import config_from_canonical
+
     if not payload["violations"]:
         return None
     return SoakViolation(
         spec=spec,
-        shrunk=ScenarioSpec(**payload["shrunk"]),
+        shrunk=config_from_canonical(payload["shrunk"]),
         violations=tuple(
             Violation(kind=v["kind"], description=v["description"])
             for v in payload["violations"]
@@ -138,11 +138,13 @@ def _cached_verdict(payload: dict, spec: ScenarioSpec) -> Optional[SoakViolation
 def _verdict_payload(failure: Optional[SoakViolation]) -> dict:
     from dataclasses import asdict
 
+    from repro.campaign.store import canonical_config_dict
+
     if failure is None:
         return {"violations": []}
     return {
         "violations": [asdict(v) for v in failure.violations],
-        "shrunk": asdict(failure.shrunk),
+        "shrunk": canonical_config_dict(failure.shrunk),
         "snippet": failure.snippet,
     }
 

@@ -15,14 +15,14 @@ from repro.experiments.figures import (
     figure7_incompleteness,
     render_figure,
 )
-from repro.experiments.parallel import (
-    parallel_map,
-    run_scenario_summaries,
-    spawn_rngs,
-    spawn_seed_sequences,
-)
 from repro.experiments.repeat import RepeatedResult, repeat_scenario
-from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
+from repro.experiments.runner import (
+    ScenarioConfig,
+    ScenarioResult,
+    run_scenario,
+    run_scenario_summaries,
+)
+from repro.util.parallel import parallel_map, spawn_rngs, spawn_seed_sequences
 from repro.experiments.scenarios import (
     single_cluster_validation,
     validation_summary,

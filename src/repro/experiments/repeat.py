@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.parallel import run_scenario_summaries
-from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.experiments.runner import ScenarioConfig, run_scenario_summaries
 from repro.metrics.summary import SeriesSummary, summarize
 from repro.util.tables import render_table
 

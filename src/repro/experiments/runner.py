@@ -8,15 +8,16 @@ the examples, the ablations, and the scenario benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.formation import FormationConfig, run_formation
 from repro.cluster.geometric import build_clusters
 from repro.energy.model import EnergyConfig, EnergyModel
 from repro.errors import ExperimentError
-from repro.failure.faultload import Faultload, make_random_crashes
+from repro.failure.faultload import Faultload, scenario_crashes
 from repro.failure.injection import FailureInjector
 from repro.fds.config import FdsConfig
 from repro.fds.service import FdsDeployment, install_fds
@@ -36,12 +37,23 @@ from repro.sim.trace import RecordingTracer, Tracer
 from repro.topology.generators import multi_cluster_field
 from repro.topology.graph import UnitDiskGraph
 from repro.types import NodeId, SimTime
+from repro.util.parallel import parallel_map
 from repro.util.rng import RngFactory
+
+if TYPE_CHECKING:
+    import argparse
+
+
+#: Execution engines a :class:`ScenarioConfig` can run on.
+ENGINES = ("event", "array", "rt")
+
+#: Cluster formation modes.
+FORMATIONS = ("oracle", "protocol")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A complete end-to-end scenario description."""
+    """A complete end-to-end scenario description, whichever engine runs it."""
 
     cluster_count: int = 4
     members_per_cluster: int = 30
@@ -82,35 +94,81 @@ class ScenarioConfig:
     #: (the scalar reference -- every message is a scheduled callback);
     #: ``"array"`` runs the round-level numpy engine
     #: (:mod:`repro.sim.array_engine`), which batches each φ-interval
-    #: across the whole field and scales to 10^6 nodes.  Same placement
-    #: and faultload streams either way; loss draws are engine-private.
+    #: across the whole field and scales to 10^6 nodes; ``"rt"`` runs
+    #: every node over localhost UDP with wall-clock timers
+    #: (:mod:`repro.rt.runtime`).  Same placement and faultload streams
+    #: on all three; loss draws are engine-private.
     engine: str = "event"
+    #: rt only: wall seconds per scenario second.  The default maps
+    #: ``thop=0.5`` to a 25 ms round -- wide enough that asyncio timer
+    #: jitter and socket latency stay well inside the round budget on a
+    #: loaded host.
+    time_scale: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.formation not in ("oracle", "protocol"):
+        if self.formation not in FORMATIONS:
             raise ExperimentError(
-                f"formation must be 'oracle' or 'protocol', got "
+                f"formation must be one of {FORMATIONS}, got "
                 f"{self.formation!r}"
             )
-        if self.engine not in ("event", "array"):
+        if self.engine not in ENGINES:
             raise ExperimentError(
-                f"engine must be 'event' or 'array', got {self.engine!r}"
+                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         if self.loss_kind not in LOSS_KINDS:
             raise ExperimentError(
                 f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}"
             )
+        for name in ("cluster_count", "members_per_cluster", "executions",
+                     "formation_iterations"):
+            if getattr(self, name) < 1:
+                raise ExperimentError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}"
+                )
         if self.crash_count < 0:
             raise ExperimentError("crash_count must be >= 0")
-        if self.formation_iterations < 1:
-            raise ExperimentError("formation_iterations must be >= 1")
+        if not 0.0 <= self.loss_probability <= 1.0:
+            raise ExperimentError(
+                "loss_probability must be in [0, 1], got "
+                f"{self.loss_probability!r}"
+            )
+        if not 1.0 < self.spacing_factor < 2.0:
+            raise ExperimentError(
+                "spacing_factor must be in (1, 2), got "
+                f"{self.spacing_factor!r}"
+            )
         if not 0.0 < self.formation_backoff_fraction <= 0.9:
             raise ExperimentError(
                 "formation_backoff_fraction must be in (0, 0.9], got "
                 f"{self.formation_backoff_fraction!r}"
             )
-        if self.executions < 1:
-            raise ExperimentError("executions must be >= 1")
+        if self.time_scale <= 0:
+            raise ExperimentError(
+                f"time_scale must be > 0, got {self.time_scale!r}"
+            )
+        if self.engine == "rt":
+            if self.formation != "oracle":
+                raise ExperimentError(
+                    "the rt engine builds oracle clusters only; "
+                    "formation='protocol' needs the event or array engine"
+                )
+            if self.track_energy:
+                raise ExperimentError(
+                    "the rt engine keeps no energy ledger; track_energy "
+                    "needs the event or array engine"
+                )
+
+    def wall_fds(self) -> FdsConfig:
+        """The protocol config in wall seconds for the rt engine: phi,
+        thop and wait_slot times ``time_scale``, so relative protocol
+        timing is preserved exactly."""
+        fds, scale = self.fds, self.time_scale
+        return replace(
+            fds,
+            phi=fds.phi * scale,
+            thop=fds.thop * scale,
+            wait_slot=fds.wait_slot * scale,
+        )
 
 
 @dataclass
@@ -121,9 +179,8 @@ class ScenarioResult:
     is scored, summarized and audited the same way on each.
     """
 
-    #: The config asked for: a :class:`ScenarioConfig`, or the runtime's
-    #: :class:`~repro.rt.runtime.RtScenario`.
-    config: object
+    #: The config asked for.
+    config: ScenarioConfig
     #: The protocol config actually run (wall-scaled on the runtime).
     fds: FdsConfig
     #: The node population; ``len()`` is the node count on every engine:
@@ -176,10 +233,12 @@ class ScenarioResult:
 
         return first_detections(iter_spool(spool, kinds=(DETECTION_KIND,)))
 
-    @property
+    @cached_property
     def detection_latencies(self) -> Dict[NodeId, Optional[SimTime]]:
         """Crash-to-first-detection seconds per crashed node (``None``:
-        never detected, or the run kept no detection records)."""
+        never detected, or the run kept no detection records).  Computed
+        once, since on a spooled run it reads the whole spool: read it
+        after the run's spool is closed."""
         return detection_latency(self._first_detections(), self.crash_times)
 
     def summary(self) -> Dict[str, float]:
@@ -215,6 +274,102 @@ def summary_lines(summary: Dict[str, float]) -> List[str]:
     return lines
 
 
+#: The scenario CLI flags as ``(flag, ScenarioConfig field, help)``.
+#: Type and default come from the field; ``engine``, ``formation`` and
+#: ``loss_kind`` take their choices from :data:`ENGINES`,
+#: :data:`FORMATIONS` and :data:`~repro.sim.loss.LOSS_KINDS`.
+SCENARIO_FLAGS = (
+    ("--clusters", "cluster_count", None),
+    ("--members", "members_per_cluster", "members per cluster (a cluster "
+                                         "is its head plus its members)"),
+    ("--loss-p", "loss_probability", "per-copy drop probability of the "
+                                     "bernoulli/bounded loss kinds"),
+    ("--crashes", "crash_count", None),
+    ("--executions", "executions", None),
+    ("--seed", "seed", None),
+    ("--engine", "engine", "'event' = discrete-event reference; 'array' = "
+                           "round-level numpy engine (scales to 10^6 "
+                           "nodes); 'rt' = every node over localhost UDP "
+                           "with wall-clock timers"),
+    ("--formation", "formation", "cluster formation: geometric oracle or "
+                                 "the distributed six-round protocol"),
+    ("--formation-iterations", "formation_iterations",
+     "six-round formation iterations (protocol formation only)"),
+    ("--formation-backoff", "formation_backoff_fraction",
+     "RCC declaration backoff upper bound as a fraction of a round, "
+     "in (0, 0.9]"),
+    ("--loss-kind", "loss_kind", "loss model kind"),
+    ("--track-energy", "track_energy", "charge the per-node energy ledger "
+                                       "and print its totals"),
+    ("--time-scale", "time_scale", "rt engine: wall seconds per scenario "
+                                   "second"),
+)
+
+_FLAG_CHOICES = {
+    "engine": ENGINES,
+    "formation": FORMATIONS,
+    "loss_kind": LOSS_KINDS,
+}
+
+
+def add_scenario_flags(
+    parser: argparse.ArgumentParser, seed: bool = True
+) -> None:
+    """Register :data:`SCENARIO_FLAGS` on ``parser`` (``seed=False``
+    leaves ``--seed`` out, for commands that take a seed list)."""
+    defaults = {f.name: f.default for f in fields(ScenarioConfig)}
+    registered = []
+    for flag, name, help_text in SCENARIO_FLAGS:
+        if name == "seed" and not seed:
+            continue
+        registered.append(name)
+        default = defaults[name]
+        if isinstance(default, bool):
+            parser.add_argument(flag, dest=name, action="store_true",
+                                help=help_text)
+            continue
+        parser.add_argument(
+            flag, dest=name, type=type(default), default=default,
+            choices=_FLAG_CHOICES.get(name),
+            metavar=None if name in _FLAG_CHOICES else flag[2:].upper(),
+            help=f"{help_text or name.replace('_', ' ')} "
+                 "(default: %(default)s)",
+        )
+    parser.set_defaults(scenario_fields=tuple(registered))
+
+
+def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
+    """The :class:`ScenarioConfig` a parser from :func:`add_scenario_flags`
+    parsed; fields without a flag keep their defaults."""
+    return ScenarioConfig(
+        **{name: getattr(args, name) for name in args.scenario_fields}
+    )
+
+
+def latency_table(result: ScenarioResult) -> Optional[str]:
+    """Per-crash detection latency as a table (``None`` without crashes)."""
+    if not result.crash_times:
+        return None
+    from repro.util.tables import render_table
+
+    phi = result.fds.phi
+    latencies = result.detection_latencies
+    rows = []
+    for nid in sorted(result.crash_times):
+        latency = latencies[nid]
+        rows.append([
+            int(nid),
+            f"{result.crash_times[nid]:.3f}",
+            "-" if latency is None else f"{latency:.3f}",
+            "-" if latency is None else f"{latency / phi:.3f}",
+        ])
+    unit = "wall seconds" if result.config.engine == "rt" else "s"
+    return render_table(
+        ["node", "crashed_at (s)", "latency (s)", "latency (phi)"],
+        rows, title=f"Detection latency, phi={phi:g} {unit}",
+    )
+
+
 def run_scenario(
     config: ScenarioConfig,
     tracer: Optional[Tracer] = None,
@@ -232,13 +387,20 @@ def run_scenario(
     trace``) can recover phi/thop/seed from the trace alone.
 
     With ``engine="array"`` the run is delegated to
-    :func:`repro.sim.array_engine.run_array_scenario`; either engine
-    returns a :class:`ScenarioResult`.
+    :func:`repro.sim.array_engine.run_array_scenario`, with
+    ``engine="rt"`` to :func:`repro.rt.runtime.run_rt_scenario` (which
+    takes no profiler); every engine returns a :class:`ScenarioResult`.
     """
     if config.engine == "array":
         from repro.sim.array_engine import run_array_scenario
 
         return run_array_scenario(config, tracer=tracer, profiler=profiler)
+    if config.engine == "rt":
+        if profiler is not None:
+            raise ExperimentError("the rt engine takes no phase profiler")
+        from repro.rt.runtime import run_rt_scenario
+
+        return run_rt_scenario(config, tracer=tracer)
 
     rngs = RngFactory(config.seed)
     positions = multi_cluster_field(
@@ -292,18 +454,14 @@ def run_scenario(
     )
 
     injector = FailureInjector(network, config.fds, fds_start=fds_start)
-    candidates: Tuple[NodeId, ...] = tuple(
-        nid for nid in network.operational_ids() if nid not in layout.heads
-    )
-    last_exec = max(1, config.executions - 2)
-    faultload = make_random_crashes(
-        candidates,
-        config.crash_count,
+    faultload = scenario_crashes(
+        tuple(
+            nid for nid in network.operational_ids()
+            if nid not in layout.heads
+        ),
+        config,
         config.fds,
-        rngs.stream("faultload"),
-        fds_start=fds_start,
-        first_execution=1,
-        last_execution=last_exec,
+        fds_start,
     )
     faultload.inject(injector)
     crash_times = {e.node_id: e.time for e in faultload.events}
@@ -356,3 +514,28 @@ def run_scenario(
         energy=energy,
         deployment=deployment,
     )
+
+
+def scenario_summary(config: ScenarioConfig) -> Dict[str, float]:
+    """Run one scenario and keep only its scalar summary.
+
+    Module-level (picklable) so it can cross a process boundary; dropping
+    the heavyweight :class:`ScenarioResult` in the worker keeps the
+    inter-process payload to a small dict of floats.
+    """
+    return run_scenario(config).summary()
+
+
+def run_scenario_summaries(
+    configs: Sequence[ScenarioConfig],
+    workers: Optional[int] = 1,
+) -> List[Dict[str, float]]:
+    """Summaries for each config, in input order, optionally across a
+    process pool.
+
+    ``workers=1`` runs serially in-process; ``workers=None`` uses all
+    CPUs.  A run is a pure function of its config and
+    :func:`~repro.util.parallel.parallel_map` preserves input order, so
+    results are bit-identical for any worker count.
+    """
+    return parallel_map(scenario_summary, list(configs), workers=workers)

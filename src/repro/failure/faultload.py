@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.failure.injection import CrashEvent, FailureInjector
 from repro.fds.config import FdsConfig
 from repro.types import NodeId, SimTime
+from repro.util.rng import RngFactory
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,33 @@ def make_random_crashes(
         events.append(CrashEvent(node_id=NodeId(int(nid)), time=time))
     events.sort(key=lambda e: (e.time, e.node_id))
     return Faultload(events=tuple(events))
+
+
+def scenario_crashes(
+    candidates: Sequence[NodeId],
+    config,
+    fds: FdsConfig,
+    fds_start: SimTime,
+) -> Faultload:
+    """The crash schedule of a scenario run, on every engine.
+
+    ``config.crash_count`` of ``candidates`` (operational non-heads,
+    ascending) crash in executions ``[1, max(1, executions - 2)]``,
+    drawn from the seed's ``"faultload"`` stream of a
+    :class:`~repro.experiments.runner.ScenarioConfig`.  Engines that
+    share the candidate order crash the same nodes in the same
+    executions; only ``fds.phi`` (wall-scaled on the rt engine) and
+    ``fds_start`` move the times.
+    """
+    return make_random_crashes(
+        candidates,
+        config.crash_count,
+        fds,
+        RngFactory(config.seed).stream("faultload"),
+        fds_start=fds_start,
+        first_execution=1,
+        last_execution=max(1, config.executions - 2),
+    )
 
 
 def crash_executions(

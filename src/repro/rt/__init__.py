@@ -5,7 +5,7 @@ radio; this package runs the very same :class:`~repro.fds.service.FdsProtocol`
 objects as asyncio tasks bound to real localhost UDP sockets, with
 wall-clock timers and a deterministic wire codec.  Both hosts implement
 the :class:`~repro.fds.substrate.Substrate` surface, so a simulated and a
-real run of the same seeded spec are differentially comparable
+real run of the same seeded config are differentially comparable
 (:mod:`repro.audit.realnet`).
 
 Modules
@@ -21,12 +21,11 @@ Modules
     The scenario runtime: socket binding, broadcast emulation with
     seeded drop/delay, protocol installation, run orchestration.
 ``faults``
-    Stream-identical faultload derivation and wall-clock crash injection
-    (task killing).
+    Wall-clock crash injection (task killing).
 ``collector``
     Per-node spool merging into one analyzable trace.
 ``cli``
-    ``repro rt run`` and ``repro rt diff``.
+    ``repro rt diff`` (a single rt run is ``repro scenario --engine rt``).
 """
 
 from repro.rt.codec import CodecError, decode_frame, encode_frame

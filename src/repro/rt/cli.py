@@ -1,21 +1,17 @@
-"""CLI for the real-network runtime: ``repro rt run`` and ``repro rt diff``.
+"""CLI for the real-network runtime: ``repro rt diff``.
 
-``run`` executes one N-node scenario over localhost UDP sockets with
-wall-clock timers and crash injection, optionally spooling per-node
-JSONL event logs and merging them into a single trace that the existing
-``repro trace`` analyzers consume unchanged.  ``diff`` is the
-``differential:realnet`` harness: seeded specs run under both the
-discrete-event simulator and the UDP runtime, and the structural /
-oracle / latency-anchor comparison of :mod:`repro.audit.realnet` must
-come back clean; any divergence prints a ready-to-paste seeded repro.
+``diff`` is the ``differential:realnet`` harness: seeded configs run
+under both the discrete-event simulator and the UDP runtime, and the
+structural / oracle / latency-anchor comparison of
+:mod:`repro.audit.realnet` must come back clean; any divergence prints a
+ready-to-paste seeded repro.  A single rt run is ``repro scenario
+--engine rt``.
 """
 
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
-
-from repro.util.tables import render_table
 
 
 def add_rt_parser(sub) -> None:
@@ -25,31 +21,11 @@ def add_rt_parser(sub) -> None:
     )
     rt_sub = rt.add_subparsers(dest="rt_command", required=True)
 
-    run = rt_sub.add_parser(
-        "run", help="run a scenario over real UDP sockets"
-    )
-    run.add_argument("--clusters", type=int, default=2)
-    run.add_argument("--members", type=int, default=10)
-    run.add_argument("--crashes", type=int, default=1)
-    run.add_argument("--executions", type=int, default=3)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--loss-kind", dest="loss_kind", default="perfect",
-                     choices=("perfect", "bernoulli", "bounded", "gilbert"),
-                     help="socket-layer loss model (mirrors the simulator)")
-    run.add_argument("--loss-p", dest="loss_p", type=float, default=0.1)
-    run.add_argument("--time-scale", dest="time_scale", type=float,
-                     default=0.05,
-                     help="wall seconds per spec second (phi=8 spec seconds "
-                          "-> 0.4 wall seconds at the default 0.05)")
-    run.add_argument("--spool-dir", dest="spool_dir", type=str, default="",
-                     help="write per-node JSONL spools here and merge them "
-                          "(analyze with 'repro trace <dir>/merged.jsonl')")
-
     diff = rt_sub.add_parser(
         "diff", help="sim-vs-real differential conformance (realnet)"
     )
     diff.add_argument("--specs", type=int, default=5,
-                      help="number of seeded specs to check")
+                      help="number of seeded configs to check")
     diff.add_argument("--seed", type=int, default=0)
     diff.add_argument("--time-scale", dest="time_scale", type=float,
                       default=0.05)
@@ -60,52 +36,8 @@ def add_rt_parser(sub) -> None:
                            "divergence")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import summary_lines
-    from repro.rt.runtime import RtScenario, run_rt_scenario
-
-    scenario = RtScenario(
-        seed=args.seed,
-        cluster_count=args.clusters,
-        members_per_cluster=args.members,
-        crash_count=args.crashes,
-        executions=args.executions,
-        loss_kind=args.loss_kind,
-        loss_p=args.loss_p,
-        time_scale=args.time_scale,
-    )
-    spool_dir = Path(args.spool_dir) if args.spool_dir else None
-    result = run_rt_scenario(scenario, spool_dir=spool_dir)
-    for line in summary_lines(result.summary()):
-        print(line)
-    print(f"  {'codec_errors':26s} {result.codec_errors}")
-    if result.crash_times:
-        phi = result.fds.phi
-        latencies = result.detection_latencies
-        rows = []
-        for nid in sorted(result.crash_times):
-            latency = latencies[nid]
-            rows.append([
-                int(nid),
-                f"{result.crash_times[nid]:.3f}",
-                "-" if latency is None else f"{latency:.3f}",
-                "-" if latency is None else f"{latency / phi:.3f}",
-            ])
-        print(render_table(
-            ["node", "crashed_at (s)", "latency (s)", "latency (phi)"],
-            rows, title=f"Detection latency, phi={phi:g} wall seconds",
-        ))
-    if result.merged_spool is not None:
-        print(f"  spools merged to {result.merged_spool} "
-              f"(analyze with 'repro trace')")
-    ok = (
-        result.properties.is_accurate
-        and result.codec_errors == 0
-    )
-    return 0 if ok else 1
-
-
-def _cmd_diff(args: argparse.Namespace) -> int:
+def cmd_rt(args: argparse.Namespace) -> int:
+    """``repro rt diff``, the only ``rt`` subcommand."""
     from repro.audit.realnet import (
         DEFAULT_TOLERANCE_PHI,
         realnet_repro_snippet,
@@ -137,9 +69,3 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     )
     print(f"realnet: {len(result.verdicts)} spec(s), {status}")
     return 0 if result.clean else 1
-
-
-def cmd_rt(args: argparse.Namespace) -> int:
-    if args.rt_command == "run":
-        return _cmd_run(args)
-    return _cmd_diff(args)

@@ -1,48 +1,48 @@
 """The asyncio-UDP scenario runtime.
 
-:func:`run_rt_scenario` is the runtime twin of
-:func:`repro.experiments.runner.run_scenario`: it builds the same seeded
-field and cluster layout from the same named RNG streams, installs the
-same :class:`~repro.fds.service.FdsProtocol` objects -- but each node is
-an :class:`~repro.rt.substrate.RtNode` hosted by an asyncio task and
-bound to its own localhost UDP socket, timers are wall-clock
-``call_later`` callbacks, and every message crosses a real socket as a
-length-prefixed JSON frame (:mod:`repro.rt.codec`).
+:func:`run_rt_scenario` is the ``engine="rt"`` branch of
+:func:`repro.experiments.runner.run_scenario`: from the same
+:class:`~repro.experiments.runner.ScenarioConfig` it builds the same
+seeded field and cluster layout from the same named RNG streams and
+installs the same :class:`~repro.fds.service.FdsProtocol` objects --
+but each node is an :class:`~repro.rt.substrate.RtNode` hosted by an
+asyncio task and bound to its own localhost UDP socket, timers are
+wall-clock ``call_later`` callbacks, and every message crosses a real
+socket as a length-prefixed JSON frame (:mod:`repro.rt.codec`).
 
 **Clock model.**  Protocol timing constants are *pre-scaled*: the wall
-:class:`~repro.fds.config.FdsConfig` carries ``phi * time_scale`` and
-``thop * time_scale`` seconds, and every trace timestamp is wall seconds
-since the run epoch.  Because the trace's ``meta.scenario`` record
-carries the *same* scaled phi/thop, all phi-unit analysis (``repro
-trace latency``, the audit oracles) works unchanged; the meta record
-additionally carries ``timebase="wall_ms"`` so displays label latencies
-in milliseconds instead of phi units.
+:class:`~repro.fds.config.FdsConfig` (``ScenarioConfig.wall_fds()``)
+carries ``phi * time_scale`` and ``thop * time_scale`` seconds, and
+every trace timestamp is wall seconds since the run epoch.  Because
+the trace's ``meta.scenario`` record carries the *same* scaled
+phi/thop, all phi-unit analysis (``repro trace latency``, the audit
+oracles) works unchanged; the meta record additionally carries
+``timebase="wall_ms"`` so displays label latencies in milliseconds
+instead of phi units.
 
 **Broadcast emulation.**  The unit-disk radio has no UDP analogue, so a
 send fans out as one unicast datagram per in-range neighbor (computed
 from the same seeded placement the simulator uses), each copy subject to
-a seeded drop draw (the spec's loss model, private stream) and a uniform
-``(0, max_delay]`` artificial delay -- mirroring
+a seeded drop draw (the config's loss model, private stream) and a
+uniform ``(0, max_delay]`` artificial delay -- mirroring
 :class:`~repro.sim.medium.RadioMedium` semantics at the socket layer.
 
 **Crash injection.**  The faultload (stream-identical to the
-simulator's, see :mod:`repro.rt.faults`) kills each victim at its
-wall-scaled crash time: the node fail-stops, its supervisor task is
-cancelled, and its socket closes.
+simulator's, see :func:`repro.failure.faultload.scenario_crashes`)
+kills each victim at its wall-scaled crash time: the node fail-stops,
+its supervisor task is cancelled, and its socket closes.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional
 
 from repro.cluster.geometric import build_clusters
-from repro.errors import ConfigurationError
-from repro.experiments.runner import ScenarioResult
-from repro.failure.faultload import Faultload
-from repro.fds.config import FdsConfig
+from repro.errors import ExperimentError
+from repro.experiments.runner import ScenarioConfig, ScenarioResult
+from repro.failure.faultload import Faultload, scenario_crashes
 from repro.fds.service import FdsProtocol
 from repro.metrics.collectors import count_messages
 from repro.metrics.properties import score_histories
@@ -51,9 +51,9 @@ from repro.obs.profiler import NULL_PROFILER
 from repro.obs.spool import SpoolingTracer
 from repro.rt.codec import CodecError, decode_frame, encode_frame
 from repro.rt.collector import merge_spools
-from repro.rt.faults import CrashDriver, derive_faultload
+from repro.rt.faults import CrashDriver
 from repro.rt.substrate import RtNode
-from repro.sim.loss import build_loss_model, sweep_loss_params
+from repro.sim.loss import build_loss_model
 from repro.sim.medium import Envelope, draw_delays
 from repro.sim.trace import RecordingTracer, Tracer
 from repro.topology.generators import multi_cluster_field
@@ -70,81 +70,9 @@ CODEC_ERROR_KIND = "rt.codec_error"
 WALL_TIMEBASE = "wall_ms"
 
 
-@dataclass(frozen=True)
-class RtScenario:
-    """A seeded runtime scenario (field-compatible with
-    :class:`repro.audit.differential.ScenarioSpec`, plus wall knobs).
-
-    ``phi``/``thop`` are in *spec* (simulated) seconds; the runtime
-    multiplies them by ``time_scale`` to get wall seconds, so one spec
-    describes both the simulated and the real run of a differential
-    pair.
-    """
-
-    seed: int = 0
-    cluster_count: int = 2
-    members_per_cluster: int = 8
-    crash_count: int = 1
-    executions: int = 3
-    loss_kind: str = "perfect"
-    loss_p: float = 0.1
-    loss_budget: int = 2
-    spacing_factor: float = 1.25
-    max_backups: int = 2
-    phi: float = 8.0
-    thop: float = 0.5
-    #: Wall seconds per spec second.  The default maps ``thop=0.5`` to a
-    #: 25 ms round -- wide enough that asyncio timer jitter and socket
-    #: latency stay well inside the round budget on a loaded CI host.
-    time_scale: float = 0.05
-    #: Wall seconds between the run epoch (socket binding) and the first
-    #: FDS execution.
-    warmup: float = 0.25
-    transmission_range: float = 100.0
-
-    def __post_init__(self) -> None:
-        if self.time_scale <= 0:
-            raise ConfigurationError(
-                f"time_scale must be positive, got {self.time_scale}"
-            )
-        if self.warmup < 0:
-            raise ConfigurationError(
-                f"warmup must be >= 0, got {self.warmup}"
-            )
-
-    @classmethod
-    def from_spec(cls, spec, **overrides) -> "RtScenario":
-        """Adopt a differential :class:`ScenarioSpec`-shaped object."""
-        kwargs = {
-            name: getattr(spec, name)
-            for name in (
-                "seed",
-                "cluster_count",
-                "members_per_cluster",
-                "crash_count",
-                "executions",
-                "loss_kind",
-                "loss_p",
-                "loss_budget",
-                "spacing_factor",
-                "max_backups",
-                "phi",
-                "thop",
-            )
-        }
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
-    def wall_config(self) -> FdsConfig:
-        """The protocol config in wall seconds (all timing knobs scaled
-        uniformly, so relative protocol timing is preserved exactly)."""
-        spec_config = FdsConfig(phi=self.phi, thop=self.thop)
-        return replace(
-            spec_config,
-            phi=spec_config.phi * self.time_scale,
-            thop=spec_config.thop * self.time_scale,
-            wait_slot=spec_config.wait_slot * self.time_scale,
-        )
+#: Wall seconds between the run epoch (socket binding) and the first
+#: FDS execution.
+WARMUP = 0.25
 
 
 class _NodeDatagramProtocol(asyncio.DatagramProtocol):
@@ -208,43 +136,49 @@ class RtRuntime:
 
     def __init__(
         self,
-        scenario: RtScenario,
+        config: ScenarioConfig,
         tracer: Optional[Tracer] = None,
         spool_dir: Optional[Path] = None,
+        merged_out: Optional[Path] = None,
     ) -> None:
-        self.scenario = scenario
-        self.config = scenario.wall_config()
-        rngs = RngFactory(scenario.seed)
+        if config.engine != "rt":
+            raise ExperimentError(
+                f"RtRuntime runs engine='rt' configs, got {config.engine!r}"
+            )
+        self.config = config
+        #: The protocol config in wall seconds.
+        self.fds = config.wall_fds()
+        rngs = RngFactory(config.seed)
         self.positions = multi_cluster_field(
-            cluster_count=scenario.cluster_count,
-            members_per_cluster=scenario.members_per_cluster,
-            radius=scenario.transmission_range,
+            cluster_count=config.cluster_count,
+            members_per_cluster=config.members_per_cluster,
+            radius=config.transmission_range,
             rng=rngs.stream("placement"),
-            spacing_factor=scenario.spacing_factor,
+            spacing_factor=config.spacing_factor,
         )
         self.graph = UnitDiskGraph(
-            self.positions, radius=scenario.transmission_range
+            self.positions, radius=config.transmission_range
         )
-        self.layout = build_clusters(
-            self.graph, max_backups=scenario.max_backups
-        )
-        self._faultload_rng = rngs.stream("faultload")
+        if config.max_backups is None:
+            self.layout = build_clusters(self.graph)
+        else:
+            self.layout = build_clusters(
+                self.graph, max_backups=config.max_backups
+            )
         # Loss and delay draws are runtime-private streams: the
         # differential never compares per-copy outcomes, only
         # loss-independent anchors (same policy as the array engine).
         self.loss_model = build_loss_model(
-            scenario.loss_kind,
-            sweep_loss_params(
-                scenario.loss_kind, scenario.loss_p, scenario.loss_budget
-            ),
-            loss_probability=scenario.loss_p,
-            transmission_range=scenario.transmission_range,
+            config.loss_kind,
+            config.loss_params,
+            loss_probability=config.loss_probability,
+            transmission_range=config.transmission_range,
         )
         self._loss_rng = rngs.stream("rt", "loss")
         self._delay_rng = rngs.stream("rt", "delay")
         #: Artificial per-copy delay bound; same 0.2 * thop proportion as
         #: the simulator's default (max_delay=0.1 against thop=0.5).
-        self.max_delay = 0.2 * self.config.thop
+        self.max_delay = 0.2 * self.fds.thop
 
         self.spool_dir = Path(spool_dir) if spool_dir is not None else None
         if self.spool_dir is not None:
@@ -256,6 +190,7 @@ class RtRuntime:
         else:
             self._shared_tracer = tracer if tracer is not None else RecordingTracer()
             self._run_tracer = self._shared_tracer
+        self.merged_out = merged_out
         self._node_spools: Dict[NodeId, SpoolingTracer] = {}
 
         self.nodes: Dict[NodeId, RtNode] = {}
@@ -364,8 +299,8 @@ class RtRuntime:
             pass
 
     async def run(self) -> ScenarioResult:
-        scenario = self.scenario
         config = self.config
+        fds = self.fds
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._epoch = loop.time()
@@ -390,20 +325,20 @@ class RtRuntime:
             self._addrs[NodeId(nid)] = transport.get_extra_info("sockname")
 
         # First execution epoch: after warmup, and strictly in the future.
-        self.fds_start = max(scenario.warmup, self.now + 0.05)
+        self.fds_start = max(WARMUP, self.now + 0.05)
 
         if self._run_tracer.enabled:
             self._run_tracer.record(
                 self.now,
                 META_KIND,
-                phi=config.phi,
-                thop=config.thop,
+                phi=fds.phi,
+                thop=fds.thop,
                 nodes=len(self.nodes),
-                seed=scenario.seed,
-                executions=scenario.executions,
+                seed=config.seed,
+                executions=config.executions,
                 fds_start=self.fds_start,
                 timebase=WALL_TIMEBASE,
-                time_scale=scenario.time_scale,
+                time_scale=config.time_scale,
             )
             # The run spool carries the cluster map too, so a merged rt
             # trace feeds the dashboard's /api/topology unchanged.
@@ -421,19 +356,19 @@ class RtRuntime:
         # Same protocol objects as the simulator, on the rt substrate.
         for nid, node in sorted(self.nodes.items()):
             view = self.layout.local_view(nid)
-            protocol = FdsProtocol(config, view)
+            protocol = FdsProtocol(fds, view)
             node.add_protocol(protocol)
             self.protocols[nid] = protocol
-            protocol.start(self.fds_start, scenario.executions, first_index=0)
+            protocol.start(self.fds_start, config.executions, first_index=0)
 
-        self.faultload = derive_faultload(
-            tuple(self.nodes),
-            self.layout,
-            scenario.crash_count,
-            scenario.executions,
+        self.faultload = scenario_crashes(
+            tuple(
+                nid for nid in sorted(self.nodes)
+                if nid not in self.layout.heads
+            ),
             config,
-            self._faultload_rng,
-            fds_start=self.fds_start,
+            fds,
+            self.fds_start,
         )
         driver = CrashDriver(loop, self)
         driver.schedule(self.faultload)
@@ -445,8 +380,8 @@ class RtRuntime:
         # drain so the last delayed copies land before sockets close.
         end = (
             self.fds_start
-            + (scenario.executions - 1) * config.phi
-            + 0.95 * config.phi
+            + (config.executions - 1) * fds.phi
+            + 0.95 * fds.phi
         )
         await asyncio.sleep(max(0.0, end - self.now) + 2 * self.max_delay)
 
@@ -471,7 +406,7 @@ class RtRuntime:
                 spool.close()
             if isinstance(self._run_tracer, SpoolingTracer):
                 self._run_tracer.close()
-            merged = merge_spools(self.spool_dir)
+            merged = merge_spools(self.spool_dir, out=self.merged_out)
 
         nodes = self.nodes
         crash_times = {
@@ -480,8 +415,8 @@ class RtRuntime:
             if nodes[e.node_id].crashed_at is not None
         }
         return ScenarioResult(
-            config=scenario,
-            fds=config,
+            config=config,
+            fds=fds,
             network=nodes,
             layout=self.layout,
             faultload=self.faultload,
@@ -512,10 +447,16 @@ class RtRuntime:
 
 
 def run_rt_scenario(
-    scenario: RtScenario,
+    config: ScenarioConfig,
     tracer: Optional[Tracer] = None,
     spool_dir: Optional[Path] = None,
+    merged_out: Optional[Path] = None,
 ) -> ScenarioResult:
-    """Run one runtime scenario to completion (synchronous entry point)."""
-    runtime = RtRuntime(scenario, tracer=tracer, spool_dir=spool_dir)
+    """Run one ``engine="rt"`` scenario to completion (synchronous entry
+    point).  With ``spool_dir`` every node spools to its own JSONL file
+    there, merged at shutdown into ``merged_out`` (default
+    ``<spool_dir>/merged.jsonl``)."""
+    runtime = RtRuntime(
+        config, tracer=tracer, spool_dir=spool_dir, merged_out=merged_out
+    )
     return asyncio.run(runtime.run())

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.failure.faultload import crash_executions, make_random_crashes
+from repro.failure.faultload import crash_executions, scenario_crashes
 from repro.metrics.collectors import MessageCounts
 from repro.metrics.properties import score_properties
 from repro.obs.analyze import META_KIND, PROFILE_KIND
@@ -150,16 +150,7 @@ def run_array_scenario(
             for n in range(layout.node_count)
             if n not in head_set
         )
-    last_exec = max(1, config.executions - 2)
-    faultload = make_random_crashes(
-        candidates,
-        config.crash_count,
-        config.fds,
-        rngs.stream("faultload"),
-        fds_start=fds_start,
-        first_execution=1,
-        last_execution=last_exec,
-    )
+    faultload = scenario_crashes(candidates, config, config.fds, fds_start)
     crash_times = {e.node_id: e.time for e in faultload.events}
     # First 0-based execution each node is dead in; never-crashing nodes
     # stay alive past the horizon.

@@ -304,6 +304,9 @@ class CompositeLoss(LossModel):
 #: Loss-model kinds addressable by name (declarative scenario configs).
 LOSS_KINDS = ("perfect", "bernoulli", "bounded", "distance", "gilbert")
 
+#: Drop budget of a ``bounded`` spec whose params leave it out.
+DEFAULT_BOUNDED_BUDGET = 3
+
 
 def sweep_loss_params(
     kind: str, loss_p: float, loss_budget: int
@@ -353,7 +356,7 @@ def build_loss_model(
         model = BernoulliLoss(kwargs.pop("p", loss_probability))
     elif kind == "bounded":
         model = BoundedAdversaryLoss(
-            kwargs.pop("p", loss_probability), int(kwargs.pop("budget", 3))
+            kwargs.pop("p", loss_probability), int(kwargs.pop("budget", DEFAULT_BOUNDED_BUDGET))
         )
     elif kind == "distance":
         model = DistanceDependentLoss(transmission_range, **kwargs)

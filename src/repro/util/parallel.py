@@ -13,7 +13,8 @@ reproducible regardless of which process consumes them.
 
 Lives in ``repro.util`` so that analysis modules can use it without
 importing the experiment package (which itself imports analysis); the
-public face for experiment code is :mod:`repro.experiments.parallel`.
+scenario-level entry point is
+:func:`repro.experiments.runner.run_scenario_summaries`.
 """
 
 from __future__ import annotations

@@ -27,21 +27,27 @@ import numpy as np
 import pytest
 
 from repro.audit.differential import (
-    ScenarioSpec,
     array_engine_violations,
     verdict_records,
 )
 from repro.cluster.geometric import build_clusters
 from repro.errors import ExperimentError
 from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.rt.runtime import RtScenario, run_rt_scenario
+from repro.fds.config import FdsConfig
+from repro.rt.runtime import run_rt_scenario
 from repro.sim.array_engine import run_array_scenario
 from repro.sim.array_engine.layout import PAD, build_array_layout
+from repro.sim.loss import sweep_loss_params
 from repro.topology.generators import multi_cluster_field
 from repro.topology.graph import UnitDiskGraph
 from repro.util.rng import RngFactory
 
 RADIUS = 100.0
+
+#: The soak distribution's lattice, gateway cap and timing.
+SOAK_SHAPE = dict(
+    spacing_factor=1.25, max_backups=2, fds=FdsConfig(phi=20.0, thop=0.5)
+)
 
 
 def _config(**overrides) -> ScenarioConfig:
@@ -147,13 +153,17 @@ def test_lossless_runs_are_verdict_identical(seed):
     )
     # The same spec over real UDP returns the same result type: one
     # summary key set on every engine, and the same field shape.
-    rt = run_rt_scenario(RtScenario(
+    rt = run_rt_scenario(ScenarioConfig(
+        engine="rt",
         seed=seed,
         cluster_count=config.cluster_count,
         members_per_cluster=config.members_per_cluster,
         crash_count=config.crash_count,
         executions=config.executions,
         spacing_factor=config.spacing_factor,
+        loss_kind="perfect",
+        max_backups=2,
+        fds=FdsConfig(phi=8.0, thop=0.5),
     ))
     summaries = [r.summary() for r in (event, array, rt)]
     assert set(summaries[0]) == set(summaries[1]) == set(summaries[2])
@@ -172,16 +182,17 @@ def test_perfect_loss_kind_is_verdict_identical():
 def test_lossy_anchors_hold(seed):
     """Under Bernoulli loss the engines draw from private streams, so only
     the loss-independent anchors are compared -- exactly the soak pair."""
-    spec = ScenarioSpec(
+    spec = ScenarioConfig(
         seed=seed,
         cluster_count=4,
         members_per_cluster=10,
         crash_count=2,
         executions=4,
         loss_kind="bernoulli",
-        loss_p=0.2,
+        loss_params=sweep_loss_params("bernoulli", 0.2, 2),
+        **SOAK_SHAPE,
     )
-    event = run_scenario(spec.to_config())
+    event = run_scenario(spec)
     assert array_engine_violations(spec, event) == []
 
 
@@ -189,16 +200,17 @@ def test_bounded_loss_guaranteed_completeness():
     """Bounded adversarial loss within the retry budget: both engines must
     deliver completeness 1.0 (the paper's guarantee), checked via the
     differential pair."""
-    spec = ScenarioSpec(
+    spec = ScenarioConfig(
         seed=4,
         cluster_count=4,
         members_per_cluster=8,
         crash_count=2,
         executions=4,
         loss_kind="bounded",
-        loss_budget=1,
+        loss_params=sweep_loss_params("bounded", 0.3, 1),
+        **SOAK_SHAPE,
     )
-    event = run_scenario(spec.to_config())
+    event = run_scenario(spec)
     assert event.properties.mean_completeness == 1.0
     assert array_engine_violations(spec, event) == []
 
@@ -285,16 +297,17 @@ def test_gilbert_anchors_hold_at_972_nodes():
     12 clusters x (80 members + head) = 972 nodes.  The engines drive
     their chains from private streams, so only the loss-independent
     anchors are compared -- plus the energy ledger sub-pair."""
-    spec = ScenarioSpec(
+    spec = ScenarioConfig(
         seed=17,
         cluster_count=12,
         members_per_cluster=80,
         crash_count=2,
         executions=3,
         loss_kind="gilbert",
-        loss_p=0.15,
+        loss_params=sweep_loss_params("gilbert", 0.15, 2),
+        **SOAK_SHAPE,
     )
-    event = run_scenario(spec.to_config())
+    event = run_scenario(spec)
     assert array_engine_violations(spec, event) == []
 
 
@@ -695,11 +708,13 @@ def test_formation_differential_pair_clean():
     from repro.audit.differential import formation_violations
 
     for spec in (
-        ScenarioSpec(seed=21, cluster_count=3, members_per_cluster=9,
-                     crash_count=2, executions=4, loss_kind="perfect"),
-        ScenarioSpec(seed=33, cluster_count=4, members_per_cluster=8,
-                     crash_count=1, executions=4, loss_kind="bernoulli",
-                     loss_p=0.3),
+        ScenarioConfig(seed=21, cluster_count=3, members_per_cluster=9,
+                       crash_count=2, executions=4, loss_kind="perfect",
+                       **SOAK_SHAPE),
+        ScenarioConfig(seed=33, cluster_count=4, members_per_cluster=8,
+                       crash_count=1, executions=4, loss_kind="bernoulli",
+                       loss_params=sweep_loss_params("bernoulli", 0.3, 2),
+                       **SOAK_SHAPE),
     ):
         assert formation_violations(spec) == []
 

@@ -46,7 +46,7 @@ class TestCli:
                 "--formation", "protocol",
                 "--formation-iterations", "2",
                 "--formation-backoff", "0.3",
-                "--clusters", "2", "--members", "8", "--p", "0",
+                "--clusters", "2", "--members", "8", "--loss-p", "0",
                 "--executions", "3", "--crashes", "1", "--seed", "5",
             ])
             assert code == 0

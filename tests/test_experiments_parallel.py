@@ -19,15 +19,19 @@ from repro.analysis.montecarlo import (
 )
 from repro.analysis.sweep import sweep_measure
 from repro.errors import AnalysisError, ConfigurationError, ExperimentError
-from repro.experiments.parallel import (
-    parallel_map,
+from repro.experiments.repeat import repeat_scenario
+from repro.experiments.runner import (
+    ScenarioConfig,
+    run_scenario,
     run_scenario_summaries,
+)
+from repro.util.parallel import (
+    chunk_sizes,
+    parallel_map,
+    resolve_workers,
     spawn_rngs,
     spawn_seed_sequences,
 )
-from repro.experiments.repeat import repeat_scenario
-from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.util.parallel import chunk_sizes, resolve_workers
 
 
 def _square(x):  # module-level: must be picklable for the pool

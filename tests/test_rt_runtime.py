@@ -13,26 +13,38 @@ import threading
 
 import pytest
 
-from repro.audit.differential import ScenarioSpec
 from repro.audit.realnet import (
     check_realnet,
     realnet_repro_snippet,
     realnet_spec,
 )
-from repro.errors import NodeStateError
+from repro.errors import ExperimentError, NodeStateError
+from repro.experiments.runner import ScenarioConfig
+from repro.fds.config import FdsConfig
 from repro.fds.substrate import Substrate, TimerHandle, TimerScheduler
 from repro.obs.analyze import TraceMeta, summarize
 from repro.obs.spool import SpoolingTracer, read_spool
 from repro.rt.collector import merge_spools, spool_files
-from repro.rt.runtime import WALL_TIMEBASE, RtScenario, run_rt_scenario
+from repro.rt.runtime import WALL_TIMEBASE, run_rt_scenario
+from repro.sim.loss import sweep_loss_params
 from repro.sim.trace import RecordingTracer, TraceRecord
 
-SMALL = RtScenario(
+#: The realnet shape: perfect links, a tight lattice, phi=8.
+RT_SHAPE = dict(
+    engine="rt",
+    loss_kind="perfect",
+    spacing_factor=1.25,
+    max_backups=2,
+    fds=FdsConfig(phi=8.0, thop=0.5),
+)
+
+SMALL = ScenarioConfig(
     seed=7,
     cluster_count=2,
     members_per_cluster=5,
     crash_count=1,
     executions=3,
+    **RT_SHAPE,
 )
 
 
@@ -116,17 +128,13 @@ def test_rt_meta_record_carries_wall_timebase(small_run):
     assert meta_record.detail["timebase"] == WALL_TIMEBASE
     assert meta_record.detail["time_scale"] == SMALL.time_scale
     assert meta_record.detail["phi"] == pytest.approx(
-        SMALL.phi * SMALL.time_scale
+        SMALL.fds.phi * SMALL.time_scale
     )
 
 
 def test_rt_scenario_rejects_bad_knobs():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        RtScenario(time_scale=0.0)
-    with pytest.raises(ConfigurationError):
-        RtScenario(warmup=-1.0)
+    with pytest.raises(ExperimentError):
+        ScenarioConfig(time_scale=0.0, **RT_SHAPE)
 
 
 # ----------------------------------------------------------------------
@@ -277,19 +285,20 @@ def test_realnet_spec_distribution_is_deterministic():
 
 
 def test_realnet_differential_perfect_loss():
-    spec = ScenarioSpec(
+    spec = ScenarioConfig(
         seed=11, cluster_count=2, members_per_cluster=5, crash_count=1,
-        executions=3, loss_kind="perfect", loss_p=0.0, loss_budget=0,
-        spacing_factor=1.25, max_backups=2, phi=8.0, thop=0.5,
+        executions=3, **RT_SHAPE,
     )
     assert check_realnet(spec) == []
 
 
 def test_realnet_differential_bounded_loss():
-    spec = ScenarioSpec(
+    spec = ScenarioConfig(
         seed=5, cluster_count=2, members_per_cluster=6, crash_count=2,
-        executions=3, loss_kind="bounded", loss_p=0.15, loss_budget=2,
-        spacing_factor=1.25, max_backups=2, phi=8.0, thop=0.5,
+        executions=3, **dict(
+            RT_SHAPE, loss_kind="bounded",
+            loss_params=sweep_loss_params("bounded", 0.15, 2),
+        ),
     )
     assert check_realnet(spec) == []
 
@@ -321,21 +330,23 @@ def _table_rows(out: str):
 
 
 def test_rt_run_table_matches_trace_latency(tmp_path, capsys):
-    """``repro rt run`` anchors latency on the executed crash instant,
-    which is what the merged spool's ``sim.crash`` records carry, so the
-    run's table and ``repro trace latency`` print the same numbers."""
+    """``repro scenario --engine rt`` anchors latency on the executed
+    crash instant, which is what the merged spool's ``sim.crash`` records
+    carry, so the run's table and ``repro trace latency`` print the same
+    numbers."""
     from repro.__main__ import main
 
     # The exit code reflects accuracy, which wall-clock jitter on a
     # loaded host can break; only the two latency views are compared.
-    spool_dir = tmp_path / "spools"
+    merged = tmp_path / "merged.jsonl"
     main([
-        "rt", "run", "--clusters", "2", "--members", "10", "--crashes", "2",
-        "--executions", "4", "--seed", "3", "--spool-dir", str(spool_dir),
+        "scenario", "--engine", "rt", "--loss-kind", "perfect",
+        "--clusters", "2", "--members", "10", "--crashes", "2",
+        "--executions", "4", "--seed", "3", "--trace-out", str(merged),
     ])
     run_out = capsys.readouterr().out
     assert "nodes                      22" in run_out
-    assert main(["trace", "latency", str(spool_dir / "merged.jsonl")]) == 0
+    assert main(["trace", "latency", str(merged)]) == 0
     trace_out = capsys.readouterr().out
 
     # node, crashed_at, latency (phi) -- columns 0, 1 and 3 of both.

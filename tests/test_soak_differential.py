@@ -10,12 +10,12 @@ monkeypatches do not cross process boundaries.
 """
 
 import unittest.mock as mock
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.audit.differential import (
-    ScenarioSpec,
     check_spec,
     probe_forwarder_conformance,
     random_spec,
@@ -26,7 +26,20 @@ from repro.audit.differential import (
 from repro.audit.soak import SoakOptions, run_soak, soak_iteration
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.fds import events as ev
+from repro.fds.config import FdsConfig
 from repro.fds.intercluster import InterclusterForwarder
+from repro.sim.loss import sweep_loss_params
+
+#: The soak distribution's fixed shape (what ``random_spec`` does not
+#: draw): perfect links, 12 members, a tight lattice, phi=20.
+SOAK = ScenarioConfig(
+    members_per_cluster=12,
+    loss_kind="perfect",
+    spacing_factor=1.25,
+    max_backups=2,
+    fds=FdsConfig(phi=20.0, thop=0.5),
+)
+BOUNDED = sweep_loss_params("bounded", 0.3, 2)
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +91,9 @@ MUTANTS = {
 
 class TestCleanStackChecksClean:
     def test_default_spec_has_no_violations(self):
-        assert check_spec(ScenarioSpec(seed=7, loss_kind="bounded")) == []
+        assert check_spec(
+            replace(SOAK, seed=7, loss_kind="bounded", loss_params=BOUNDED)
+        ) == []
 
     def test_seed_1342382291_no_digests_pair_clean(self):
         """Permanent regression repro: soak seed 7 at defaults sampled
@@ -89,15 +104,15 @@ class TestCleanStackChecksClean:
         heard the target's heartbeat, and the round-structure audit
         abstains for digest-free forwarding configs whose conformant
         cascades legitimately chain ladder generations."""
-        spec = ScenarioSpec(
+        spec = replace(
+            SOAK,
             seed=1342382291,
             cluster_count=4,
             members_per_cluster=16,
             crash_count=2,
             executions=7,
             loss_kind="bernoulli",
-            loss_p=0.35,
-            loss_budget=1,
+            loss_params=sweep_loss_params("bernoulli", 0.35, 1),
             spacing_factor=1.25,
             max_backups=1,
         )
@@ -110,19 +125,22 @@ class TestCleanStackChecksClean:
             assert check_spec(spec, check_parallel=False) == [], spec
 
     def test_probes_clean_on_fixed_code(self):
-        assert probe_forwarder_conformance(ScenarioSpec(seed=3)) == []
+        assert probe_forwarder_conformance(replace(SOAK, seed=3)) == []
 
 
 class TestDifferentialPairs:
     def test_vectorized_scalar_bit_identical(self):
-        spec = ScenarioSpec(seed=11, loss_kind="bernoulli", loss_p=0.25)
-        a = run_scenario(spec.to_config(vectorized=True))
-        b = run_scenario(spec.to_config(vectorized=False))
+        spec = replace(
+            SOAK, seed=11, loss_kind="bernoulli",
+            loss_params=sweep_loss_params("bernoulli", 0.25, 2),
+        )
+        a = run_scenario(replace(spec, vectorized=True))
+        b = run_scenario(replace(spec, vectorized=False))
         assert trace_fingerprint(a.tracer) == trace_fingerprint(b.tracer)
 
     def test_fingerprint_distinguishes_seeds(self):
-        a = run_scenario(ScenarioSpec(seed=1).to_config())
-        b = run_scenario(ScenarioSpec(seed=2).to_config())
+        a = run_scenario(replace(SOAK, seed=1))
+        b = run_scenario(replace(SOAK, seed=2))
         assert trace_fingerprint(a.tracer) != trace_fingerprint(b.tracer)
 
 
@@ -130,7 +148,7 @@ class TestMutationsCaughtAndShrunk:
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutant_yields_shrunk_seeded_repro(self, name):
         attr, fn = MUTANTS[name]
-        spec = ScenarioSpec(seed=7, loss_kind="bounded")
+        spec = replace(SOAK, seed=7, loss_kind="bounded", loss_params=BOUNDED)
         with mock.patch.object(InterclusterForwarder, attr, fn):
             failure = soak_iteration(
                 spec, check_parallel=False, max_shrink_evals=16
@@ -141,7 +159,7 @@ class TestMutationsCaughtAndShrunk:
             assert check_spec(failure.shrunk, check_parallel=False)
         # ... the snippet is a valid, ready-to-paste pytest module ...
         compile(failure.snippet, "<repro>", "exec")
-        assert "ScenarioSpec(" in failure.snippet
+        assert "ScenarioConfig(" in failure.snippet
         assert f"seed={failure.shrunk.seed}" in failure.snippet
         # ... and names the violation it reproduces.
         assert failure.violations[0].kind in failure.snippet
@@ -162,7 +180,7 @@ class TestMutationsCaughtAndShrunk:
             loss_params=(("p", 0.25),),
             spacing_factor=1.25,
             max_backups=3,
-            fds=ScenarioSpec().fds_config(),
+            fds=SOAK.fds,
         )
         with mock.patch.object(InterclusterForwarder, attr, fn):
             result = run_scenario(cfg)
@@ -173,13 +191,15 @@ class TestMutationsCaughtAndShrunk:
 
 class TestShrinking:
     def test_shrink_respects_floors(self):
-        spec = ScenarioSpec(
+        spec = replace(
+            SOAK,
             seed=1,
             cluster_count=4,
             members_per_cluster=16,
             crash_count=3,
             executions=7,
             loss_kind="bounded",
+            loss_params=BOUNDED,
         )
         small = shrink_spec(spec, still_fails=lambda s: True, max_evals=64)
         assert small.cluster_count == 2
@@ -189,7 +209,7 @@ class TestShrinking:
         assert small.loss_kind == "perfect"
 
     def test_shrink_keeps_spec_when_nothing_simpler_fails(self):
-        spec = ScenarioSpec(seed=1)
+        spec = replace(SOAK, seed=1)
         assert shrink_spec(spec, still_fails=lambda s: False) == spec
 
 
